@@ -108,28 +108,27 @@ fn parse_args() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut grab = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} needs a value"))
+            args.next().unwrap_or_else(|| usage_error(&format!("{what} needs a value")))
         };
         match a.as_str() {
-            "--houses" => opts.houses = grab("--houses").parse().expect("houses"),
-            "--days" => opts.days = grab("--days").parse().expect("days"),
-            "--scale" => opts.scale = grab("--scale").parse().expect("scale"),
-            "--seed" => opts.seed = grab("--seed").parse().expect("seed"),
-            "--seeds" => opts.seeds = grab("--seeds").parse().expect("seeds"),
-            "--threads" => opts.threads = grab("--threads").parse().expect("threads"),
+            "--houses" => opts.houses = number("--houses", &grab("--houses")),
+            "--days" => opts.days = non_negative("--days", &grab("--days")),
+            "--scale" => opts.scale = non_negative("--scale", &grab("--scale")),
+            "--seed" => opts.seed = number("--seed", &grab("--seed")),
+            "--seeds" => opts.seeds = number("--seeds", &grab("--seeds")),
+            "--threads" => opts.threads = number("--threads", &grab("--threads")),
             "--csv" => opts.csv = true,
             "--obs" => opts.obs = true,
             "--obs-out" => opts.obs_out = grab("--obs-out"),
             "--serve" => opts.serve = grab("--serve"),
             "--serve-check" => opts.serve_check = true,
             "--window-secs" => {
-                opts.window_secs = grab("--window-secs").parse().expect("window-secs")
+                opts.window_secs = non_negative("--window-secs", &grab("--window-secs"))
             }
-            "--tenants" => opts.tenants = grab("--tenants").parse().expect("tenants"),
+            "--tenants" => opts.tenants = number("--tenants", &grab("--tenants")),
             "--source" => opts.source = grab("--source"),
             "--iface" => opts.iface = grab("--iface"),
-            "--frames" => opts.frames = grab("--frames").parse().expect("frames"),
+            "--frames" => opts.frames = number("--frames", &grab("--frames")),
             "--format" => opts.format = grab("--format"),
             "--rule" => opts.rule = grab("--rule"),
             "--root" => opts.root = grab("--root"),
@@ -161,6 +160,27 @@ fn parse_args() -> Opts {
         opts.experiments.push("all".into());
     }
     opts
+}
+
+/// Report a malformed command line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg} (see --help)");
+    std::process::exit(2);
+}
+
+/// A flag's value parsed as a number, or a usage error.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| usage_error(&format!("{flag}: not a valid number: {raw:?}")))
+}
+
+/// A flag's value as a finite, non-negative float, or a usage error:
+/// `NaN`, `inf` and negative values are refused, never clamped.
+fn non_negative(flag: &str, raw: &str) -> f64 {
+    let v: f64 = number(flag, raw);
+    if !v.is_finite() || v < 0.0 {
+        usage_error(&format!("{flag}: must be a finite number >= 0, got {raw:?}"));
+    }
+    v
 }
 
 fn main() {
@@ -1018,7 +1038,7 @@ fn stream(opts: &Opts) {
         scale: ScaleKnobs { houses, days, activity: opts.scale },
         ..WorkloadConfig::default()
     };
-    let window = Duration::from_secs_f64(opts.window_secs.max(0.0));
+    let window = Duration::from_secs_f64(opts.window_secs);
     eprintln!(
         "# stream: {houses} houses x {days} days at activity {} (seed {}, threads {}, window {}s) ...",
         opts.scale, opts.seed, opts.threads, opts.window_secs
@@ -1154,7 +1174,7 @@ fn ingest(opts: &Opts) {
         scale: ScaleKnobs { houses, days, activity: opts.scale },
         ..WorkloadConfig::default()
     };
-    let window = Duration::from_secs_f64(opts.window_secs.max(0.0));
+    let window = Duration::from_secs_f64(opts.window_secs);
     eprintln!(
         "# ingest: source {} ({houses} houses x {days} days at activity {}, seed {}, threads {}, window {}s) ...",
         opts.source, opts.scale, opts.seed, opts.threads, opts.window_secs

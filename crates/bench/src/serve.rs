@@ -63,6 +63,18 @@ impl TenantSpec {
             window_secs: 60.0,
         }
     }
+
+    /// Refuse a window that is negative or not finite (`0` is the
+    /// unwindowed run); such a spec is an error, never clamped.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.window_secs.is_finite() || self.window_secs < 0.0 {
+            return Err(format!(
+                "tenant {}: window_secs must be a finite number >= 0, got {}",
+                self.id, self.window_secs
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Daemon construction knobs.
@@ -127,10 +139,12 @@ impl Daemon {
     }
 
     /// Register a tenant and enqueue its stream on the pool. Errors on
-    /// duplicate or malformed ids; the tenant starts in state `queued`,
-    /// moves to `running` when a worker picks it up, and settles as
-    /// `drained` (or `failed` if its job panicked).
+    /// duplicate or malformed ids and on a window that is negative or
+    /// not finite; the tenant starts in state `queued`, moves to
+    /// `running` when a worker picks it up, and settles as `drained` (or
+    /// `failed` if its job panicked).
     pub fn add_tenant(&self, spec: TenantSpec) -> Result<(), String> {
+        spec.validate()?;
         let hub = ObsHub::default();
         self.registry.add(&spec.id, hub.clone())?;
         self.root.flight().record("tenant.add", spec.id.clone(), self.registry.len() as f64);
@@ -218,14 +232,17 @@ impl Daemon {
 /// per-tenant document: `sim.* capture.* zeek.* stream.*` plus the
 /// analysis and `cache.*` sections, mirroring the `repro ingest`
 /// metrics section so one tenant of the daemon is comparable to one
-/// standalone run.
+/// standalone run. Panics on a spec [`TenantSpec::validate`] refuses.
 pub fn run_tenant(spec: &TenantSpec, hub: Option<&ObsHub>) -> Metrics {
-    let window = Duration::from_secs_f64(spec.window_secs.max(0.0));
+    if let Err(e) = spec.validate() {
+        panic!("{e}");
+    }
+    let window = Duration::from_secs_f64(spec.window_secs);
     let monitor_cfg = MonitorConfig::default();
-    // One thread per engine: cross-tenant parallelism only, so the
-    // settled snapshot cannot depend on the pool width.
-    let mut analysis_cfg = AnalysisConfig::default();
-    analysis_cfg.threads = 1;
+    // The stream engine pairs on its calling thread, so parallelism is
+    // cross-tenant only and the settled snapshot cannot depend on the
+    // pool width.
+    let analysis_cfg = AnalysisConfig::default();
     let mut replay = cache_sim::CacheReplay::new(Duration::from_secs(60));
     let mut metrics = Metrics::new();
 

@@ -194,3 +194,25 @@ fn lifecycle_events_land_in_the_root_flight_ring() {
     }
     daemon.shutdown();
 }
+
+#[test]
+fn add_tenant_refuses_a_non_finite_or_negative_window() {
+    let daemon =
+        Daemon::new(DaemonConfig { threads: 1, ..DaemonConfig::default() }).expect("daemon");
+    for (id, window_secs) in
+        [("nan", f64::NAN), ("inf", f64::INFINITY), ("neg-inf", f64::NEG_INFINITY), ("neg", -30.0)]
+    {
+        let mut spec = TenantSpec::sim(id, 1, 0.01, 0.1, 3);
+        spec.window_secs = window_secs;
+        let err = daemon.add_tenant(spec).expect_err("a bad window must be refused");
+        assert!(err.contains("window_secs"), "{id}: {err}");
+    }
+    assert!(daemon.tenants().is_empty(), "refused tenants must not be registered");
+    // The bounds themselves are accepted: 0 is the unwindowed run.
+    let mut unwindowed = TenantSpec::sim("zero", 1, 0.01, 0.1, 3);
+    unwindowed.window_secs = 0.0;
+    daemon.add_tenant(unwindowed).expect("window 0 is valid");
+    daemon.drain();
+    assert_eq!(daemon.tenants(), vec![("zero".to_string(), "drained".to_string())]);
+    daemon.shutdown();
+}

@@ -60,8 +60,10 @@ struct ArenaEntry {
     dns_idx: u32,
 }
 
+/// The `(client, address)` index key packed into one word; the batch
+/// and stream indexes share it.
 #[inline]
-fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
+pub(crate) fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
     (u64::from(u32::from(client)) << 32) | u64::from(u32::from(addr))
 }
 

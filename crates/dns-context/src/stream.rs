@@ -40,6 +40,21 @@
 //! O(lookups). Per-lookup claim state (first-use) is reference-counted
 //! and freed when a lookup's last index entry goes.
 //!
+//! Eviction is event-driven. An entry becomes evictable at
+//! `max(own expires, next entry's completed)`; each key remembers the
+//! earliest such instant over its run (its *due* time) and a min-heap
+//! holds `(due, key)`. At a boundary the engine pops the keys due at or
+//! before `w_conn` and prunes only those runs, re-arming each at its new
+//! due time; an insert that moves a key's due time earlier pushes it
+//! again, and stale heap events are skipped on pop. The evicted set is
+//! exactly what a sweep over every key would drop, for any sequence of
+//! watermarks, so an epoch close costs O(rows released + entries
+//! evicted) plus the heap's logarithm, not O(live keys).
+//!
+//! Pairing runs on the calling thread: a release is a few dozen
+//! connections, far below what a thread fan-out repays, so
+//! [`AnalysisConfig::threads`] does not affect the engine.
+//!
 //! # Deferred SC/R split
 //!
 //! The per-resolver SC/R thresholds need the *whole* trace (minimum
@@ -62,10 +77,12 @@
 //!   state, which has no bounded-memory equivalent; `new` asserts this.
 
 use crate::classify::ThresholdRule;
-use crate::pairing::PairingPolicy;
+use crate::pairing::{pack_key, PairingPolicy};
 use crate::{AnalysisConfig, ClassCounts};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
+use xkit::collections::{FastMap, FastSet};
 use xkit::obs::{HistSpec, Metrics};
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Monitor, MonitorConfig, Timestamp};
 
@@ -80,6 +97,16 @@ struct StreamEntry {
     dns_idx: usize,
     resolver: Ipv4Addr,
     rtt: Duration,
+}
+
+/// A due time no entry ever reaches (a run with one entry).
+const NEVER: Timestamp = Timestamp(u64::MAX);
+
+/// The earliest instant any entry of a `(completed, dns_idx)`-sorted run
+/// becomes evictable: an entry goes once it is expired for every future
+/// connection and its successor has completed.
+fn run_due(entries: &[StreamEntry]) -> Timestamp {
+    entries.windows(2).map(|p| p[0].expires.max(p[1].completed)).min().unwrap_or(NEVER)
 }
 
 /// Per-resolver accumulators: threshold inputs plus the deferred SC/R
@@ -105,9 +132,8 @@ impl ResolverAcc {
     }
 }
 
-/// A released connection's pairing outcome, before the sequential
-/// first-use / metrics fold (pure function of the index, so it can be
-/// computed in parallel).
+/// A released connection's pairing outcome, before the first-use /
+/// metrics fold (a pure function of the index).
 #[derive(Debug, Clone, Copy)]
 struct PairedLite {
     dns_idx: Option<usize>,
@@ -176,13 +202,19 @@ pub struct StreamEngine {
     /// Completed-but-unreleased rows; bounded by the window, not the trace.
     buf_conns: Vec<ConnRecord>,
     buf_dns: Vec<DnsTransaction>,
-    /// The streaming pairing index, per-key sorted by `(completed, dns_idx)`.
-    index: HashMap<(Ipv4Addr, Ipv4Addr), Vec<StreamEntry>>,
+    /// The streaming pairing index, keyed by [`pack_key`], per-key
+    /// sorted by `(completed, dns_idx)`.
+    index: FastMap<u64, Vec<StreamEntry>>,
+    /// Each key's due time ([`run_due`]), for keys that have one.
+    armed: FastMap<u64, Timestamp>,
+    /// `(due, key)` eviction events, earliest first; an event whose key
+    /// is no longer armed at or before the watermark is stale.
+    due: BinaryHeap<Reverse<(Timestamp, u64)>>,
     live_entries: u64,
     /// dns_idx → number of live index entries referencing it.
-    refcount: HashMap<usize, usize>,
+    refcount: FastMap<usize, usize>,
     /// Lookups already claimed by a first-use connection.
-    claimed: HashSet<usize>,
+    claimed: FastSet<usize>,
     next_dns_idx: usize,
     resolvers: HashMap<Ipv4Addr, ResolverAcc>,
     /// Incrementally folded counters and histograms (`pair.*`, `perf.*`,
@@ -221,10 +253,12 @@ impl StreamEngine {
             floor,
             buf_conns: Vec::new(),
             buf_dns: Vec::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
+            armed: FastMap::default(),
+            due: BinaryHeap::new(),
             live_entries: 0,
-            refcount: HashMap::new(),
-            claimed: HashSet::new(),
+            refcount: FastMap::default(),
+            claimed: FastSet::default(),
             next_dns_idx: 0,
             resolvers: HashMap::new(),
             acc: Metrics::new(),
@@ -444,17 +478,13 @@ impl StreamEngine {
     /// must contain every lookup a released connection could pair with),
     /// then connections.
     fn release(&mut self, w_conn: Timestamp, w_dns: Timestamp) -> EpochOutput {
-        let (mut dns_out, keep): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.buf_dns).into_iter().partition(|d| d.ts < w_dns);
-        self.buf_dns = keep;
+        let mut dns_out: Vec<_> = self.buf_dns.extract_if(.., |d| d.ts < w_dns).collect();
         dns_out.sort_by(DnsTransaction::log_order);
         for txn in &dns_out {
             self.ingest_dns(txn);
         }
 
-        let (mut conn_out, keep): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.buf_conns).into_iter().partition(|c| c.ts < w_conn);
-        self.buf_conns = keep;
+        let mut conn_out: Vec<_> = self.buf_conns.extract_if(.., |c| c.ts < w_conn).collect();
         conn_out.sort_by_key(|c| (c.ts, c.uid));
         self.absorb_conns(&conn_out);
 
@@ -478,12 +508,21 @@ impl StreamEngine {
         };
         let rtt = txn.rtt.expect("completed lookups are answered");
         for addr in txn.addrs() {
-            let entries = self.index.entry((txn.client, addr)).or_default();
+            let key = pack_key(txn.client, addr);
+            let entries = self.index.entry(key).or_default();
             let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
             entries.insert(
                 pos,
                 StreamEntry { completed, expires, dns_idx: idx, resolver: txn.resolver, rtt },
             );
+            // Only the pairs through the new entry changed (its
+            // predecessor's successor, and its own), and neither can be
+            // later than before: the key's due time can only move earlier.
+            let due = run_due(&entries[pos.saturating_sub(1)..(pos + 2).min(entries.len())]);
+            if due < self.armed.get(&key).copied().unwrap_or(NEVER) {
+                self.armed.insert(key, due);
+                self.due.push(Reverse((due, key)));
+            }
             self.live_entries += 1;
             *self.refcount.entry(idx).or_insert(0) += 1;
         }
@@ -491,10 +530,7 @@ impl StreamEngine {
 
     /// Pair one application connection against the index — the exact
     /// per-connection rule of [`Pairing::build`], over released lookups.
-    fn pair_conn(
-        index: &HashMap<(Ipv4Addr, Ipv4Addr), Vec<StreamEntry>>,
-        conn: &ConnRecord,
-    ) -> PairedLite {
+    fn pair_conn(index: &FastMap<u64, Vec<StreamEntry>>, conn: &ConnRecord) -> PairedLite {
         let unpaired = PairedLite {
             dns_idx: None,
             gap: Duration::ZERO,
@@ -502,7 +538,7 @@ impl StreamEngine {
             resolver: Ipv4Addr::UNSPECIFIED,
             rtt: Duration::ZERO,
         };
-        let Some(entries) = index.get(&(conn.id.orig_addr, conn.id.resp_addr)) else {
+        let Some(entries) = index.get(&pack_key(conn.id.orig_addr, conn.id.resp_addr)) else {
             return unpaired;
         };
         let upto = entries.partition_point(|e| e.completed <= conn.ts);
@@ -528,36 +564,17 @@ impl StreamEngine {
     }
 
     /// Fold a `(ts, uid)`-sorted release batch of connections into the
-    /// pairing/classification accumulators. Candidate lookup fans out
-    /// over the configured worker threads (a pure read of the index);
-    /// the first-use claim pass and the metric folds stay sequential, so
-    /// results are identical for every thread count.
+    /// pairing/classification accumulators, in release order.
     fn absorb_conns(&mut self, conns: &[ConnRecord]) {
         self.released_conns += conns.len() as u64;
-        let app: Vec<&ConnRecord> = conns.iter().filter(|c| !c.is_dns()).collect();
-        if app.is_empty() {
-            return;
-        }
-        let index = &self.index;
-        let workers = xkit::par::resolve_threads(self.cfg.threads).min(app.len());
-        let lite: Vec<PairedLite> = if workers <= 1 {
-            app.iter().map(|c| Self::pair_conn(index, c)).collect()
-        } else {
-            let chunks: Vec<&[&ConnRecord]> = app.chunks(app.len().div_ceil(workers)).collect();
-            xkit::par::par_map(self.cfg.threads, chunks, |_, chunk| {
-                chunk.iter().map(|c| Self::pair_conn(index, c)).collect::<Vec<PairedLite>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-
         let mut hit = 0u64;
         let mut fallback = 0u64;
         let mut miss = 0u64;
         let mut first_uses = 0u64;
-        for p in &lite {
-            self.released_app += 1;
+        let mut app = 0u64;
+        for conn in conns.iter().filter(|c| !c.is_dns()) {
+            let p = Self::pair_conn(&self.index, conn);
+            app += 1;
             let Some(di) = p.dns_idx else {
                 miss += 1;
                 self.class_no_dns += 1;
@@ -595,44 +612,60 @@ impl StreamEngine {
                 }
             }
         }
+        self.released_app += app;
+        if app == 0 {
+            return;
+        }
         self.acc.add("pair.hit", hit);
         self.acc.add("pair.fallback", fallback);
         self.acc.add("pair.miss", miss);
         self.acc.add("pair.first_use", first_uses);
-        self.acc.add("pair.app_conns", app.len() as u64);
+        self.acc.add("pair.app_conns", app);
     }
 
     /// Drop index entries no future connection can pair with (module
     /// docs), releasing per-lookup claim state when the last entry goes.
+    /// Visits only the keys whose due time has passed.
     fn evict(&mut self, w: Timestamp) {
-        let mut dropped: Vec<usize> = Vec::new();
-        // lint: allow(no-map-iteration): each key's run is pruned independently
-        for entries in self.index.values_mut() {
-            let cut = entries.partition_point(|e| e.completed <= w);
-            if cut < 2 {
-                // No entry has both a newer completed witness and a
-                // position before it.
-                continue;
+        while let Some(&Reverse((due, key))) = self.due.peek() {
+            if due > w {
+                break;
             }
-            let last_keep = cut - 1;
+            self.due.pop();
+            match self.armed.get(&key) {
+                Some(&armed) if armed <= w => {}
+                // Stale: the key was pruned and re-armed (or disarmed) since.
+                _ => continue,
+            }
+            let Some(entries) = self.index.get_mut(&key) else { continue };
+            // The newest entry with `completed <= w` is the witness every
+            // expired entry before it is shadowed by; it stays.
+            let last_keep = entries.partition_point(|e| e.completed <= w).saturating_sub(1);
             let mut pos = 0usize;
             entries.retain(|e| {
                 let gone = pos < last_keep && e.expires <= w;
                 pos += 1;
                 if gone {
-                    dropped.push(e.dns_idx);
+                    self.evicted_answers += 1;
+                    self.live_entries -= 1;
+                    let rc =
+                        self.refcount.get_mut(&e.dns_idx).expect("indexed entries are refcounted");
+                    *rc -= 1;
+                    if *rc == 0 {
+                        self.refcount.remove(&e.dns_idx);
+                        self.claimed.remove(&e.dns_idx);
+                    }
                 }
                 !gone
             });
-        }
-        for di in dropped {
-            self.evicted_answers += 1;
-            self.live_entries -= 1;
-            let rc = self.refcount.get_mut(&di).expect("evicted entries are refcounted");
-            *rc -= 1;
-            if *rc == 0 {
-                self.refcount.remove(&di);
-                self.claimed.remove(&di);
+            match run_due(entries) {
+                NEVER => {
+                    self.armed.remove(&key);
+                }
+                next => {
+                    self.armed.insert(key, next);
+                    self.due.push(Reverse((next, key)));
+                }
             }
         }
     }
@@ -793,9 +826,8 @@ mod tests {
         conns: Vec<ConnRecord>,
         dns: Vec<DnsTransaction>,
         boundaries_ms: &[u64],
-        mut cfg: AnalysisConfig,
+        cfg: AnalysisConfig,
     ) -> (Vec<ConnRecord>, Vec<DnsTransaction>, StreamResult) {
-        cfg.threads = 1;
         let mut engine = StreamEngine::new(MonitorConfig::default(), cfg);
         engine.buf_conns = conns;
         engine.buf_dns = dns;
@@ -879,7 +911,6 @@ mod tests {
     fn hub_sees_prefix_snapshots_and_flight_events() {
         let mut cfg = AnalysisConfig::default();
         cfg.threshold_rule.min_lookups = 1;
-        cfg.threads = 1;
         let hub = xkit::obs::ObsHub::default();
         let mut engine = StreamEngine::new(MonitorConfig::default(), cfg);
         engine.set_hub(hub.clone());
@@ -909,6 +940,174 @@ mod tests {
             events.iter().any(|e| e.kind == "state.evict" && e.value == 1.0),
             "the older expired entry's eviction must hit the flight ring"
         );
+    }
+
+    /// The eviction oracle: an index fed the same released rows that
+    /// sweeps every key at each boundary. Pairing is brute force over
+    /// every entry, straight from the rule (most recent live, else most
+    /// recent expired), so it also checks the claim state.
+    #[derive(Default)]
+    struct SweepOracle {
+        index: HashMap<(Ipv4Addr, Ipv4Addr), Vec<StreamEntry>>,
+        refcount: HashMap<usize, usize>,
+        claimed: std::collections::HashSet<usize>,
+        next_dns_idx: usize,
+        live_entries: u64,
+        evicted_answers: u64,
+    }
+
+    impl SweepOracle {
+        fn ingest(&mut self, txn: &DnsTransaction) {
+            let idx = self.next_dns_idx;
+            self.next_dns_idx += 1;
+            let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
+                return;
+            };
+            for addr in txn.addrs() {
+                let entries = self.index.entry((txn.client, addr)).or_default();
+                let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
+                let rtt = txn.rtt.unwrap();
+                entries.insert(
+                    pos,
+                    StreamEntry { completed, expires, dns_idx: idx, resolver: txn.resolver, rtt },
+                );
+                self.live_entries += 1;
+                *self.refcount.entry(idx).or_insert(0) += 1;
+            }
+        }
+
+        fn pair(&mut self, conn: &ConnRecord) {
+            if conn.is_dns() {
+                return;
+            }
+            let Some(entries) = self.index.get(&(conn.id.orig_addr, conn.id.resp_addr)) else {
+                return;
+            };
+            let newest = |live: bool| {
+                entries
+                    .iter()
+                    .filter(|e| e.completed <= conn.ts && (!live || e.expires > conn.ts))
+                    .max_by_key(|e| (e.completed, e.dns_idx))
+            };
+            if let Some(chosen) = newest(true).or_else(|| newest(false)) {
+                self.claimed.insert(chosen.dns_idx);
+            }
+        }
+
+        fn evict(&mut self, w: Timestamp) {
+            let mut dropped: Vec<usize> = Vec::new();
+            for entries in self.index.values_mut() {
+                let cut = entries.partition_point(|e| e.completed <= w);
+                if cut < 2 {
+                    continue;
+                }
+                let last_keep = cut - 1;
+                let mut pos = 0usize;
+                entries.retain(|e| {
+                    let gone = pos < last_keep && e.expires <= w;
+                    pos += 1;
+                    if gone {
+                        dropped.push(e.dns_idx);
+                    }
+                    !gone
+                });
+            }
+            for di in dropped {
+                self.evicted_answers += 1;
+                self.live_entries -= 1;
+                let rc = self.refcount.get_mut(&di).unwrap();
+                *rc -= 1;
+                if *rc == 0 {
+                    self.refcount.remove(&di);
+                    self.claimed.remove(&di);
+                }
+            }
+        }
+    }
+
+    /// Random rows over many `(client, address)` keys: coarse 100 ms
+    /// grids make equal `completed` ties common, RTTs up to 3 s make
+    /// completion order differ from release order (out-of-order insert
+    /// positions), TTL 0 occurs, and some lookups go unanswered.
+    fn random_rows(seed: u64) -> (Vec<DnsTransaction>, Vec<ConnRecord>) {
+        use xkit::rng::{RngExt, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let clients: Vec<Ipv4Addr> = (1..=6).map(|i| Ipv4Addr::new(10, 77, 0, i)).collect();
+        let servers: Vec<Ipv4Addr> = (1..=10).map(|i| Ipv4Addr::new(104, 16, 0, i)).collect();
+        let ttls = [0u32, 0, 1, 2, 5, 30, 120, 300];
+        let dns = (0..600u16)
+            .map(|id| {
+                let mut t = txn(rng.random_range(0..6_000u64) * 100, id, 0);
+                t.client = *rng.choose(&clients).unwrap();
+                t.rtt = if rng.random_bool(0.1) {
+                    None
+                } else {
+                    Some(Duration::from_millis(rng.random_range(0..30u64) * 100))
+                };
+                t.answers = (0..rng.random_range(1..=3usize))
+                    .map(|_| {
+                        Answer::addr(*rng.choose(&servers).unwrap(), *rng.choose(&ttls).unwrap())
+                    })
+                    .collect();
+                t
+            })
+            .collect();
+        let conns = (0..500u64)
+            .map(|uid| {
+                let mut c = conn(rng.random_range(0..6_500u64) * 100, uid);
+                c.id.orig_addr = *rng.choose(&clients).unwrap();
+                c.id.resp_addr = *rng.choose(&servers).unwrap();
+                c
+            })
+            .collect();
+        (dns, conns)
+    }
+
+    #[test]
+    fn due_queue_eviction_matches_the_full_sweep() {
+        use xkit::rng::{RngExt, SeedableRng, StdRng};
+        for seed in 0..12u64 {
+            let (dns, conns) = random_rows(seed);
+            let mut engine = StreamEngine::new(MonitorConfig::default(), AnalysisConfig::default());
+            engine.buf_dns = dns;
+            engine.buf_conns = conns;
+            let mut oracle = SweepOracle::default();
+            // Boundaries every 0.5–12 s, with an occasional step back: the
+            // heap must match the sweep for any watermark sequence, not
+            // only monotone ones.
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xE7);
+            let mut b_ms = 0u64;
+            for epoch in 0..150 {
+                b_ms = if rng.random_bool(0.05) {
+                    b_ms.saturating_sub(rng.random_range(0..20_000u64))
+                } else {
+                    b_ms + rng.random_range(500..12_000u64)
+                };
+                let w = Timestamp::from_millis(b_ms);
+                let out = engine.end_epoch(Some(w));
+                out.dns.iter().for_each(|t| oracle.ingest(t));
+                out.conns.iter().for_each(|c| oracle.pair(c));
+                oracle.evict(w);
+
+                let at = format!("seed {seed} epoch {epoch} w={b_ms}ms");
+                assert_eq!(engine.evicted_answers, oracle.evicted_answers, "evicted, {at}");
+                assert_eq!(engine.live_entries, oracle.live_entries, "live entries, {at}");
+                let mut rc: Vec<(usize, usize)> =
+                    engine.refcount.iter().map(|(k, v)| (*k, *v)).collect();
+                let mut rc_oracle: Vec<(usize, usize)> =
+                    oracle.refcount.iter().map(|(k, v)| (*k, *v)).collect();
+                rc.sort_unstable();
+                rc_oracle.sort_unstable();
+                assert_eq!(rc, rc_oracle, "refcounts, {at}");
+                let mut claimed: Vec<usize> = engine.claimed.iter().copied().collect();
+                let mut claimed_oracle: Vec<usize> = oracle.claimed.iter().copied().collect();
+                claimed.sort_unstable();
+                claimed_oracle.sort_unstable();
+                assert_eq!(claimed, claimed_oracle, "claimed, {at}");
+            }
+            let evicted = engine.evicted_answers;
+            assert!(evicted > 100, "seed {seed}: only {evicted} evictions exercised");
+        }
     }
 
     #[test]

@@ -153,6 +153,19 @@ pub fn rules() -> Vec<Rule> {
             markers: &[],
         },
         Rule {
+            id: "stream-epoch-cost",
+            desc: "a stream epoch close costs only what it releases: no thread fan-out or whole-index sweep in dns-context/src/stream.rs",
+            hint: "pair on the calling thread and evict through the due-queue; never spawn per epoch or walk every key",
+            scope: Scope {
+                roots: &["crates/dns-context/src/stream.rs"],
+                exclude: &[],
+                src_only: true,
+                include_tests: false,
+            },
+            check: Check::Needles(&["xkit::par", "thread::scope", ".values_mut()"]),
+            markers: &[],
+        },
+        Rule {
             id: "dep-denylist",
             desc: "the workspace is zero-dependency: no external crates in any manifest",
             hint: "use the in-tree equivalent (xkit::rng, xkit::par, xkit::bench, xkit::collections)",

@@ -149,6 +149,39 @@ fn batch_entry_points_fire_only_in_stream_rs() {
     assert!(diags("crates/dns-context/src/analysis.rs", src).is_empty());
 }
 
+// ---- stream-epoch-cost --------------------------------------------------
+
+#[test]
+fn per_epoch_fan_out_and_index_sweeps_fire_in_stream_rs() {
+    let path = "crates/dns-context/src/stream.rs";
+    for src in [
+        "pub fn f(v: Vec<u8>) { xkit::par::par_map(0, v, |_, x| x); }\n",
+        "use xkit::par;\n",
+        "pub fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
+        "pub fn f(index: &mut Index) { for e in index.values_mut() { e.clear(); } }\n",
+    ] {
+        assert!(fired(path, src).iter().any(|r| r == "stream-epoch-cost"), "{src}");
+    }
+}
+
+#[test]
+fn stream_epoch_cost_spares_tests_other_files_and_lookalikes() {
+    let sweep = "pub fn f(index: &mut Index) { for e in index.values_mut() { e.clear(); } }\n";
+    let scoped = "pub fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
+    // Only stream.rs is fenced: batch analysis may fan out and sweep.
+    for src in [sweep, scoped] {
+        assert!(fired("crates/dns-context/src/analysis.rs", src)
+            .iter()
+            .all(|r| r != "stream-epoch-cost"));
+    }
+    // The sweep oracle in stream.rs's test module is exempt.
+    let test_scoped = "#[cfg(test)]\nmod tests { fn t(index: &mut Index) { index.values_mut(); } }\n";
+    assert!(diags("crates/dns-context/src/stream.rs", test_scoped).is_empty());
+    // Identifier guards: neither a longer path nor a keyed lookup fires.
+    let lookalikes = "use xkit::parse;\npub fn f(m: &mut M) { m.get_mut(&1); mythread::scoped(); }\n";
+    assert!(diags("crates/dns-context/src/stream.rs", lookalikes).is_empty());
+}
+
 // ---- dep-denylist -------------------------------------------------------
 
 #[test]

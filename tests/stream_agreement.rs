@@ -143,3 +143,26 @@ fn finite_windows_bound_live_state() {
     assert_eq!(result.stream_metrics.counter("stream.epochs"), 1);
     assert_eq!(result.stream_metrics.counter("stream.evicted_flows"), 0);
 }
+
+#[test]
+fn stream_counters_are_pinned_at_seed_42() {
+    // The exact `stream.*` counters and peak gauges of the seed-42 run,
+    // for every thread count: a change in release or eviction timing
+    // moves one of these even where the bounds above still hold.
+    let batch = batch_oracle();
+    // (window s, epochs, evicted answers, evicted flows, peak live answers, peak live flows)
+    let golden: [(u64, u64, u64, u64, f64, f64); 2] =
+        [(30, 83, 81, 561, 127.0, 223.0), (300, 9, 81, 561, 131.0, 240.0)];
+    for (window_secs, epochs, evicted_answers, evicted_flows, peak_answers, peak_flows) in golden {
+        for threads in [1usize, 8] {
+            let (_, result) = streamed(&batch, Duration::from_secs(window_secs), threads);
+            let s = &result.stream_metrics;
+            let at = format!("window={window_secs}s threads={threads}");
+            assert_eq!(s.counter("stream.epochs"), epochs, "{at}");
+            assert_eq!(s.counter("stream.evicted_answers"), evicted_answers, "{at}");
+            assert_eq!(s.counter("stream.evicted_flows"), evicted_flows, "{at}");
+            assert_eq!(s.gauge("stream.peak_live_answers"), Some(peak_answers), "{at}");
+            assert_eq!(s.gauge("stream.peak_live_flows"), Some(peak_flows), "{at}");
+        }
+    }
+}
