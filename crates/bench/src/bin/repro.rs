@@ -159,13 +159,58 @@ fn parse_args() -> Opts {
     if opts.experiments.is_empty() {
         opts.experiments.push("all".into());
     }
+    // `obs-check` takes its own operands; every other word must name an
+    // experiment.
+    if opts.experiments[0] != "obs-check" {
+        if let Some(bad) = opts.experiments.iter().find(|e| !EXPERIMENTS.contains(&e.as_str())) {
+            usage_error(&format!("unknown experiment `{bad}`"));
+        }
+    }
     opts
 }
+
+/// Every experiment word `repro` accepts.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "fig1",
+    "fig2",
+    "fig3",
+    "sec51",
+    "sec52",
+    "sec7",
+    "sec8",
+    "diurnal",
+    "houses",
+    "ablate-threshold",
+    "ablate-pairing",
+    "ablate-scr",
+    "bench",
+    "fuzz",
+    "obs",
+    "stream",
+    "ingest",
+    "serve",
+    "lint",
+    "all",
+];
 
 /// Report a malformed command line and exit 2.
 fn usage_error(msg: &str) -> ! {
     eprintln!("repro: {msg} (see --help)");
     std::process::exit(2);
+}
+
+/// A workload the simulator refuses (`--houses 0`, `--days 0`,
+/// `--scale 0`) is a usage error.
+fn workload_error(e: impl std::fmt::Display) -> ! {
+    usage_error(&format!("invalid workload for --houses/--days/--scale: {e}"))
+}
+
+/// The simulation for a workload the command line asked for.
+fn simulation(cfg: WorkloadConfig, seed: u64) -> Simulation {
+    Simulation::new(cfg, seed).unwrap_or_else(|e| workload_error(e))
 }
 
 /// A flag's value parsed as a number, or a usage error.
@@ -245,10 +290,7 @@ fn main() {
         opts.houses, opts.days, opts.scale, opts.seed
     );
     let t0 = xkit::obs::clock::now();
-    let out = Simulation::new(cfg.clone(), opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads)
-        .run();
+    let out = simulation(cfg.clone(), opts.seed).with_threads(opts.threads).run();
     eprintln!(
         "# {} connections, {} DNS transactions in {:.1}s; running analysis ...",
         count(out.logs.conns.len()),
@@ -884,6 +926,7 @@ fn finish_serving(opts: &Opts, who: &str, server: Option<xkit::obs::http::ObsSer
 fn obs(opts: &Opts) {
     use dnsctx::dns_context::classify::{classify_parallel, count_classes, resolver_thresholds};
     use dnsctx::dns_context::perf::PerfAnalysis;
+    use dnsctx::dns_context::tally::{Settled, Tally};
     use dnsctx::dns_context::{Coverage, Pairing};
     use dnsctx::zeek_lite::{Monitor, MonitorConfig, Timestamp};
     use xkit::obs::{Metrics, SpanLog};
@@ -907,9 +950,7 @@ fn obs(opts: &Opts) {
 
     // stage.capture: simulate the trace and render it to pcap bytes.
     let s = spans.start("stage.capture");
-    let sim = Simulation::new(cfg, opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads);
+    let sim = simulation(cfg, opts.seed).with_threads(opts.threads);
     let mut pcap = Vec::new();
     let (_truth, frames, sim_metrics) =
         sim.run_pcap_observed(&mut pcap, 65_535).expect("in-memory pcap");
@@ -937,10 +978,9 @@ fn obs(opts: &Opts) {
     // stage.pair: DN-Hunter pairing of connections with lookups.
     let s = spans.start("stage.pair");
     let pairing = Pairing::build(&logs.conns, &logs.dns, acfg.policy);
-    let pair_metrics = pairing.metrics();
+    let hits = pairing.pairs.iter().filter(|p| p.dns.is_some() && !p.expired).count();
     spans.note(s, "app_conns", pairing.app_conn_count() as f64);
-    spans.note(s, "hits", pair_metrics.counter("pair.hit") as f64);
-    metrics.merge(&pair_metrics);
+    spans.note(s, "hits", hits as f64);
     spans.finish(s);
 
     // stage.thresholds: per-resolver SC/R duration thresholds (scans the
@@ -949,52 +989,40 @@ fn obs(opts: &Opts) {
     let conn_cols = logs.conn_columns();
     let dns_cols = logs.dns_columns();
     let thresholds = resolver_thresholds(&dns_cols, acfg.threshold_rule);
-    metrics.add("threshold.resolvers", thresholds.len() as u64);
-    for (addr, thr) in &thresholds {
-        metrics.gauge_max(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
-    }
     spans.note(s, "resolvers", thresholds.len() as f64);
     spans.finish(s);
 
     // stage.classify: the Table 2 five-way split.
     let s = spans.start("stage.classify");
-    let floor = Duration::from_secs_f64(acfg.threshold_rule.floor_ms / 1e3);
     let classes = classify_parallel(
         opts.threads,
         &dns_cols,
         &pairing,
         acfg.block_threshold,
         &thresholds,
-        floor,
+        acfg.threshold_rule.floor(),
     );
     let counts = count_classes(&classes);
-    metrics.add("class.no_dns", counts.no_dns as u64);
-    metrics.add("class.local_cache", counts.local_cache as u64);
-    metrics.add("class.prefetched", counts.prefetched as u64);
-    metrics.add("class.shared_cache", counts.shared_cache as u64);
-    metrics.add("class.resolution", counts.resolution as u64);
     spans.note(s, "classified", counts.total() as f64);
     spans.finish(s);
 
     // stage.perf: blocked-connection delay figures.
     let s = spans.start("stage.perf");
     let perf = PerfAnalysis::compute(&conn_cols, &dns_cols, &pairing, &classes);
-    metrics.add("perf.blocked_conns", perf.blocked.len() as u64);
-    for b in &perf.blocked {
-        metrics.observe_with("perf.blocked_dns_ms", xkit::obs::HistSpec::time_ms(), b.dns_ms);
-    }
     spans.note(s, "blocked_conns", perf.blocked.len() as f64);
     spans.finish(s);
 
-    // stage.report: coverage summary + human-readable rendering (stderr).
+    // stage.report: the analysis snapshot, coverage summary and
+    // human-readable rendering (stderr).
     let s = spans.start("stage.report");
+    let settled = Settled { degradation: &logs.degradation, thresholds: &thresholds };
+    Tally::batch(&pairing, &classes, &dns_cols).write(&mut metrics, Some(settled));
     let coverage = Coverage {
         frame_acceptance: logs.degradation.frame_acceptance(),
         dns_acceptance: logs.degradation.dns_acceptance(),
         app_conns: pairing.app_conn_count(),
         paired: pairing.pairs.iter().filter(|p| p.dns.is_some()).count(),
     };
-    metrics.merge(&coverage.to_metrics());
     let table = metrics.render_table();
     spans.note(s, "metrics", metrics.len() as f64);
     spans.finish(s);
@@ -1049,9 +1077,7 @@ fn stream(opts: &Opts) {
 
     // stage.capture: simulate the trace and render it to pcap bytes.
     let s = spans.start("stage.capture");
-    let sim = Simulation::new(cfg, opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads);
+    let sim = simulation(cfg, opts.seed).with_threads(opts.threads);
     let mut pcap = Vec::new();
     let (_truth, frames, sim_metrics) =
         sim.run_pcap_observed(&mut pcap, 65_535).expect("in-memory pcap");
@@ -1068,7 +1094,7 @@ fn stream(opts: &Opts) {
     let mut replay = cache_sim::CacheReplay::new(Duration::from_secs(60));
     let window_nanos = window.nanos();
     // One pass through the ingestion seam: `process_source` owns the
-    // epoch windowing (same boundary semantics as `pcapio::Epochs`); the
+    // epoch windowing (epoch k covers [k*window, (k+1)*window) ns); the
     // sink replays each epoch's released DNS rows through the cache
     // model and drops them. With `--serve`, every epoch boundary also
     // publishes a prefix snapshot to the hub.
@@ -1189,9 +1215,7 @@ fn ingest(opts: &Opts) {
     // rows through the cache model, exactly like `stream`.
     let result = match opts.source.as_str() {
         "file" => {
-            let sim = Simulation::new(cfg, opts.seed)
-                .expect("valid config")
-                .with_threads(opts.threads);
+            let sim = simulation(cfg, opts.seed).with_threads(opts.threads);
             let mut pcap = Vec::new();
             let (_truth, _frames, sim_metrics) =
                 sim.run_pcap_observed(&mut pcap, 65_535).expect("in-memory pcap");
@@ -1214,9 +1238,7 @@ fn ingest(opts: &Opts) {
             result
         }
         "ring" => {
-            let sim = Simulation::new(cfg, opts.seed)
-                .expect("valid config")
-                .with_threads(opts.threads);
+            let sim = simulation(cfg, opts.seed).with_threads(opts.threads);
             let (mut tx, mut rx) =
                 pcapio::ring::channel(1 << 20, 65_535, pcapio::Backpressure::Block);
             // Producer-side stalls land in the same flight ring the
@@ -1376,7 +1398,7 @@ fn serve_daemon(opts: &Opts) {
             opts.seed.wrapping_add(k as u64),
         );
         spec.window_secs = opts.window_secs;
-        daemon.add_tenant(spec).expect("unique tenant id");
+        daemon.add_tenant(spec).unwrap_or_else(|e| workload_error(e));
     }
 
     daemon.drain();
@@ -1529,9 +1551,7 @@ fn fuzz(opts: &Opts) {
         "# fuzz: simulating {houses} houses x {days} days at activity {} (seed {}) ...",
         opts.scale, opts.seed
     );
-    let sim = Simulation::new(cfg, opts.seed)
-        .expect("valid config")
-        .with_threads(opts.threads);
+    let sim = simulation(cfg, opts.seed).with_threads(opts.threads);
     let mut clean = Vec::new();
     let (_, frames) = sim.run_pcap(&mut clean, 65_535).expect("in-memory pcap");
     eprintln!("# fuzz: {} frames, {} pcap bytes", count(frames as usize), count(clean.len()));
@@ -1627,10 +1647,7 @@ fn headline_for_seed(
     scratch: &mut dnsctx::dns_context::AnalysisScratch,
     seed: u64,
 ) -> Headline {
-    let out = Simulation::new(cfg.clone(), seed)
-        .expect("valid config")
-        .with_threads(1)
-        .run();
+    let out = simulation(cfg.clone(), seed).with_threads(1).run();
     let mut acfg = AnalysisConfig::default();
     acfg.threads = 1;
     let analysis = Analysis::run_with(scratch, &out.logs, acfg);
@@ -1738,23 +1755,11 @@ fn bench(cfg: &WorkloadConfig, opts: &Opts, logs: &Logs, analysis: &Analysis<'_>
     let mut stage_allocs: Vec<(&str, alloc::StageAllocs)> = Vec::new();
 
     let (_, a) = alloc::measure(|| {
-        Simulation::new(cfg.clone(), opts.seed)
-            .expect("valid config")
-            .with_threads(opts.threads)
-            .run()
-            .logs
-            .conns
-            .len()
+        simulation(cfg.clone(), opts.seed).with_threads(opts.threads).run().logs.conns.len()
     });
     stage_allocs.push(("simulate", a));
     h.bench("simulate", || {
-        Simulation::new(cfg.clone(), opts.seed)
-            .expect("valid config")
-            .with_threads(opts.threads)
-            .run()
-            .logs
-            .conns
-            .len()
+        simulation(cfg.clone(), opts.seed).with_threads(opts.threads).run().logs.conns.len()
     });
 
     // Steady-state pairing: the arena scratch is built once and reused,

@@ -65,7 +65,8 @@ impl TenantSpec {
     }
 
     /// Refuse a window that is negative or not finite (`0` is the
-    /// unwindowed run); such a spec is an error, never clamped.
+    /// unwindowed run), and a simulated workload the simulator refuses;
+    /// such a spec is an error, never clamped.
     pub fn validate(&self) -> Result<(), String> {
         if !self.window_secs.is_finite() || self.window_secs < 0.0 {
             return Err(format!(
@@ -73,8 +74,18 @@ impl TenantSpec {
                 self.id, self.window_secs
             ));
         }
+        if let TenantSource::SimRing { houses, days, activity, .. } = self.source {
+            workload(houses, days, activity)
+                .validate()
+                .map_err(|e| format!("tenant {}: {e}", self.id))?;
+        }
         Ok(())
     }
+}
+
+/// The simulated workload of a [`TenantSource::SimRing`] tenant.
+fn workload(houses: usize, days: f64, activity: f64) -> WorkloadConfig {
+    WorkloadConfig { scale: ScaleKnobs { houses, days, activity }, ..WorkloadConfig::default() }
 }
 
 /// Daemon construction knobs.
@@ -266,11 +277,8 @@ pub fn run_tenant(spec: &TenantSpec, hub: Option<&ObsHub>) -> Metrics {
             result
         }
         TenantSource::SimRing { houses, days, activity, seed, capacity } => {
-            let cfg = WorkloadConfig {
-                scale: ScaleKnobs { houses: *houses, days: *days, activity: *activity },
-                ..WorkloadConfig::default()
-            };
-            let sim = Simulation::new(cfg, *seed).expect("valid tenant config");
+            let cfg = workload(*houses, *days, *activity);
+            let sim = Simulation::new(cfg, *seed).expect("add_tenant validated the workload");
             let (mut tx, mut rx) =
                 pcapio::ring::channel(*capacity, 65_535, pcapio::Backpressure::Block);
             if let Some(hub) = hub {

@@ -1,6 +1,7 @@
-//! Command-line flag validation: a malformed, non-finite or negative
-//! numeric flag is a usage error (exit 2, a message on stderr, nothing
-//! on stdout), never a panic and never a silent clamp.
+//! Command-line validation: a malformed, non-finite or negative numeric
+//! flag, a workload the simulator refuses, or an unknown experiment is a
+//! usage error (exit 2, a message on stderr, nothing on stdout), never a
+//! panic, a silent clamp or a silently skipped word.
 
 use std::process::Command;
 
@@ -60,4 +61,20 @@ fn zero_window_is_accepted_and_stays_valid_json() {
     let doc = xkit::obs::json::parse(&stdout).expect("stdout parses as JSON");
     let meta = doc.get("meta").expect("meta").render();
     assert!(meta.contains("\"window_secs\":0"), "{meta}");
+}
+
+#[test]
+fn zero_valued_workload_flags_are_usage_errors() {
+    for experiment in ["table2", "stream", "ingest", "obs", "fuzz", "serve"] {
+        for flag in ["--houses", "--days", "--scale"] {
+            assert_usage_error(&[experiment, "--tenants", "1", flag, "0"], flag);
+        }
+    }
+    assert_usage_error(&["table2", "--seeds", "2", "--houses", "0"], "--houses");
+}
+
+#[test]
+fn unknown_experiments_are_usage_errors() {
+    assert_usage_error(&["tabel2", "--houses", "2", "--days", "0.01"], "tabel2");
+    assert_usage_error(&["table2", "fig9", "--houses", "2", "--days", "0.01"], "fig9");
 }

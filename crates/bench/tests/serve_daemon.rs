@@ -196,6 +196,23 @@ fn lifecycle_events_land_in_the_root_flight_ring() {
 }
 
 #[test]
+fn add_tenant_refuses_a_workload_the_simulator_refuses() {
+    let daemon =
+        Daemon::new(DaemonConfig { threads: 1, ..DaemonConfig::default() }).expect("daemon");
+    for (id, houses, days, activity) in
+        [("no-houses", 0, 0.01, 0.1), ("no-days", 1, 0.0, 0.1), ("no-activity", 1, 0.01, 0.0)]
+    {
+        let err = daemon
+            .add_tenant(TenantSpec::sim(id, houses, days, activity, 3))
+            .expect_err("an empty workload must be refused");
+        assert!(err.contains(id), "{id}: {err}");
+    }
+    assert!(daemon.tenants().is_empty(), "refused tenants must not be registered");
+    assert_eq!(daemon.panicked(), 0);
+    daemon.shutdown();
+}
+
+#[test]
 fn add_tenant_refuses_a_non_finite_or_negative_window() {
     let daemon =
         Daemon::new(DaemonConfig { threads: 1, ..DaemonConfig::default() }).expect("daemon");

@@ -92,8 +92,8 @@ fn stream_agrees_for_all_windows_and_threads() {
     for window in [Duration::from_secs(30), Duration::ZERO] {
         for threads in [1usize, 8] {
             let mut released = Logs::default();
-            let result = stream::process_pcap(
-                &bytes[..],
+            let result = stream::process_source(
+                &mut pcapio::source::file(&bytes[..]).expect("pcap header"),
                 window,
                 MonitorConfig::default(),
                 analysis_cfg(threads),

@@ -8,6 +8,7 @@ use crate::classify::{
 use crate::pairing::{Pairing, PairingPolicy, PairingScratch};
 use crate::perf::{PerfAnalysis, Significance};
 use crate::resolver::{platform_reports, PlatformMap, PlatformReport};
+use crate::tally::{Settled, Tally};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use zeek_lite::{ConnColumns, DnsColumns, Duration, Logs};
@@ -80,21 +81,9 @@ impl Coverage {
         }
     }
 
-    /// Express the report as an obs snapshot (`cover.*`): acceptance
-    /// ratios as gauges, connection counts as counters. `from_metrics`
-    /// inverts it exactly, so this struct is a thin view over the one
-    /// snapshot/merge path.
-    pub fn to_metrics(&self) -> xkit::obs::Metrics {
-        let mut m = xkit::obs::Metrics::new();
-        m.gauge_max("cover.frame_acceptance", self.frame_acceptance);
-        m.gauge_max("cover.dns_acceptance", self.dns_acceptance);
-        m.add("cover.app_conns", self.app_conns as u64);
-        m.add("cover.paired", self.paired as u64);
-        m
-    }
-
-    /// Rebuild the view from an obs snapshot (absent gauges read as
-    /// fully-accepted, matching the direct-log default).
+    /// Read the view back from the `cover.*` keys of an analysis snapshot
+    /// (absent gauges read as fully-accepted, matching the direct-log
+    /// default).
     pub fn from_metrics(m: &xkit::obs::Metrics) -> Coverage {
         Coverage {
             frame_acceptance: m.gauge("cover.frame_acceptance").unwrap_or(1.0),
@@ -176,14 +165,13 @@ impl<'a> Analysis<'a> {
             || Pairing::build_with(pairing_scratch, &logs.conns, &logs.dns, cfg.policy),
             || resolver_thresholds(&dns_cols, cfg.threshold_rule),
         );
-        let floor = Duration::from_secs_f64(cfg.threshold_rule.floor_ms / 1e3);
         let classes = classify_parallel(
             cfg.threads,
             &dns_cols,
             &pairing,
             cfg.block_threshold,
             &thresholds,
-            floor,
+            cfg.threshold_rule.floor(),
         );
         Analysis { logs, cfg, conn_cols, dns_cols, pairing, classes, thresholds }
     }
@@ -268,29 +256,13 @@ impl<'a> Analysis<'a> {
     }
 
     /// Everything the analysis can report as one obs snapshot: the
-    /// `pair.*` outcomes, `class.*` counts, per-resolver `threshold.*`
-    /// gauges, `perf.*` blocked-connection figures, and the `cover.*`
-    /// view. Pure function of the logs, so identical for any thread
-    /// count.
+    /// [`Tally`] of every analysed connection, settled with this run's
+    /// thresholds and upstream acceptance. Pure function of the logs, so
+    /// identical for any thread count.
     pub fn metrics(&self) -> xkit::obs::Metrics {
-        let mut m = self.pairing.metrics();
-        m.merge(&self.coverage().to_metrics());
-        let counts = self.class_counts();
-        m.add("class.no_dns", counts.no_dns as u64);
-        m.add("class.local_cache", counts.local_cache as u64);
-        m.add("class.prefetched", counts.prefetched as u64);
-        m.add("class.shared_cache", counts.shared_cache as u64);
-        m.add("class.resolution", counts.resolution as u64);
-        m.add("threshold.resolvers", self.thresholds.len() as u64);
-        // lint: allow(no-map-iteration): one metrics key per map key; Metrics stores sorted
-        for (addr, thr) in &self.thresholds {
-            m.gauge_max(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
-        }
-        let perf = self.perf();
-        m.add("perf.blocked_conns", perf.blocked.len() as u64);
-        for b in &perf.blocked {
-            m.observe_with("perf.blocked_dns_ms", xkit::obs::HistSpec::time_ms(), b.dns_ms);
-        }
+        let mut m = xkit::obs::Metrics::new();
+        let settled = Settled { degradation: &self.logs.degradation, thresholds: &self.thresholds };
+        Tally::batch(&self.pairing, &self.classes, &self.dns_cols).write(&mut m, Some(settled));
         m
     }
 

@@ -78,6 +78,17 @@ impl ClassCounts {
         self.no_dns + self.local_cache + self.prefetched + self.shared_cache + self.resolution
     }
 
+    /// Add `n` connections of one class.
+    pub fn add(&mut self, class: ConnClass, n: usize) {
+        *match class {
+            ConnClass::NoDns => &mut self.no_dns,
+            ConnClass::LocalCache => &mut self.local_cache,
+            ConnClass::Prefetched => &mut self.prefetched,
+            ConnClass::SharedCache => &mut self.shared_cache,
+            ConnClass::Resolution => &mut self.resolution,
+        } += n;
+    }
+
     /// Count for one class.
     pub fn get(&self, class: ConnClass) -> usize {
         match class {
@@ -133,26 +144,87 @@ impl Default for ThresholdRule {
     }
 }
 
+impl ThresholdRule {
+    /// A resolver's SC/R threshold, or `None` when it answered fewer
+    /// than `min_lookups` lookups (it then uses [`floor`](Self::floor)).
+    /// Always a whole number of milliseconds.
+    pub(crate) fn threshold(&self, durations: &LookupDurations) -> Option<Duration> {
+        (durations.answered >= self.min_lookups).then(|| {
+            let ms = (durations.min_ms * self.mult + self.add_ms).max(self.floor_ms).ceil();
+            Duration::from_secs_f64(ms / 1e3)
+        })
+    }
+
+    /// The threshold of a resolver without its own.
+    pub fn floor(&self) -> Duration {
+        Duration::from_secs_f64(self.floor_ms / 1e3)
+    }
+}
+
+/// One resolver's threshold inputs: its answered-lookup count and the
+/// minimum answered duration (≈ the network RTT).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LookupDurations {
+    /// Minimum answered-lookup duration, milliseconds.
+    min_ms: f64,
+    /// Answered lookups.
+    answered: usize,
+}
+
+impl Default for LookupDurations {
+    fn default() -> Self {
+        LookupDurations { min_ms: f64::INFINITY, answered: 0 }
+    }
+}
+
+impl LookupDurations {
+    /// Fold one answered lookup's duration.
+    pub(crate) fn observe(&mut self, rtt: Duration) {
+        self.min_ms = self.min_ms.min(rtt.as_millis_f64());
+        self.answered += 1;
+    }
+}
+
 /// Compute per-resolver SC/R thresholds from the lookup-duration
 /// distributions (paper §5.3). Scans the resolver and rtt columns.
 pub fn resolver_thresholds(dns: &DnsColumns, rule: ThresholdRule) -> HashMap<Ipv4Addr, Duration> {
-    let mut by_resolver: HashMap<Ipv4Addr, (f64, usize)> = HashMap::new();
+    let mut by_resolver: HashMap<Ipv4Addr, LookupDurations> = HashMap::new();
     for (resolver, rtt) in dns.resolver.iter().zip(&dns.rtt) {
         if let Some(rtt) = rtt {
-            let e = by_resolver.entry(*resolver).or_insert((f64::INFINITY, 0));
-            e.0 = e.0.min(rtt.as_millis_f64());
-            e.1 += 1;
+            by_resolver.entry(*resolver).or_default().observe(*rtt);
         }
     }
     by_resolver
         // lint: allow(no-map-iteration): map-to-map transform, no order reaches output
         .into_iter()
-        .filter(|(_, (_, n))| *n >= rule.min_lookups)
-        .map(|(addr, (min_ms, _))| {
-            let thr = (min_ms * rule.mult + rule.add_ms).max(rule.floor_ms).ceil();
-            (addr, Duration::from_secs_f64(thr / 1e3))
-        })
+        .filter_map(|(addr, durations)| Some((addr, rule.threshold(&durations)?)))
         .collect()
+}
+
+/// Table 2's rule up to the SC/R split (paper §4): unpaired → N; a gap
+/// beyond the blocking threshold → P on the lookup's first use, LC
+/// otherwise. `None` for a blocked connection, which [`split`] settles.
+pub(crate) fn unblocked_class(
+    gap: Option<Duration>,
+    first_use: bool,
+    block_threshold: Duration,
+) -> Option<ConnClass> {
+    match gap {
+        None => Some(ConnClass::NoDns),
+        Some(gap) if gap <= block_threshold => None,
+        Some(_) if first_use => Some(ConnClass::Prefetched),
+        Some(_) => Some(ConnClass::LocalCache),
+    }
+}
+
+/// The SC/R split of a blocked connection (paper §5.3): its lookup's
+/// duration against its resolver's threshold.
+pub(crate) fn split(duration: Duration, threshold: Duration) -> ConnClass {
+    if duration <= threshold {
+        ConnClass::SharedCache
+    } else {
+        ConnClass::Resolution
+    }
 }
 
 /// Classify every analysed connection. `thresholds` comes from
@@ -171,10 +243,8 @@ pub fn classify(
         .collect()
 }
 
-/// The per-connection classification rule (paper §4): unpaired → N;
-/// gap beyond the blocking threshold → P/LC by first use; blocked →
-/// SC/R by the paired lookup's duration against its resolver threshold.
-/// Reads only the resolver and rtt columns of the paired lookup.
+/// One connection's class: [`unblocked_class`], then for a blocked
+/// connection [`split`] on the paired lookup's resolver and duration.
 fn classify_pair(
     p: &crate::pairing::PairedConn,
     dns: &DnsColumns,
@@ -182,23 +252,11 @@ fn classify_pair(
     thresholds: &HashMap<Ipv4Addr, Duration>,
     floor: Duration,
 ) -> ConnClass {
-    let Some(di) = p.dns else { return ConnClass::NoDns };
-    let gap = p.gap.expect("paired conns have gaps");
-    if gap > block_threshold {
-        if p.first_use {
-            ConnClass::Prefetched
-        } else {
-            ConnClass::LocalCache
-        }
-    } else {
+    unblocked_class(p.gap, p.first_use, block_threshold).unwrap_or_else(|| {
+        let di = p.dns.expect("blocked conns are paired");
         let thr = thresholds.get(&dns.resolver[di]).copied().unwrap_or(floor);
-        let dur = dns.rtt[di].unwrap_or(Duration::ZERO);
-        if dur <= thr {
-            ConnClass::SharedCache
-        } else {
-            ConnClass::Resolution
-        }
-    }
+        split(dns.rtt[di].unwrap_or(Duration::ZERO), thr)
+    })
 }
 
 /// [`classify`] fanned out over worker threads: contiguous chunks of the
@@ -234,14 +292,8 @@ pub fn classify_parallel(
 /// Tally classes into Table 2's counts.
 pub fn count_classes(classes: &[ConnClass]) -> ClassCounts {
     let mut c = ClassCounts::default();
-    for class in classes {
-        match class {
-            ConnClass::NoDns => c.no_dns += 1,
-            ConnClass::LocalCache => c.local_cache += 1,
-            ConnClass::Prefetched => c.prefetched += 1,
-            ConnClass::SharedCache => c.shared_cache += 1,
-            ConnClass::Resolution => c.resolution += 1,
-        }
+    for &class in classes {
+        c.add(class, 1);
     }
     c
 }

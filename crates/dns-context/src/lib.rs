@@ -25,7 +25,9 @@
 //!    application throughput (including the connectivitycheck artifact).
 //!
 //! [`Analysis`] runs the whole pipeline once and serves every table and
-//! figure from the shared result.
+//! figure from the shared result; [`stream::StreamEngine`] applies the
+//! same rules in bounded memory, and both render their snapshot through
+//! one [`tally::Tally`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +41,7 @@ pub mod report;
 pub mod resolver;
 pub mod stats;
 pub mod stream;
+pub mod tally;
 pub mod timeseries;
 
 mod analysis;

@@ -11,11 +11,11 @@
 //! paper used as a robustness check is available as
 //! [`PairingPolicy::RandomNonExpired`].
 
-use xkit::rng::StdRng;
-use xkit::rng::{RngExt, SeedableRng};
+use crate::tally::PairTally;
 use std::collections::hash_map::Entry;
-use xkit::collections::FastMap;
 use std::net::Ipv4Addr;
+use xkit::collections::FastMap;
+use xkit::rng::{RngExt, SeedableRng, StdRng};
 use zeek_lite::{ConnRecord, DnsTransaction, Duration, Timestamp};
 
 /// Which candidate lookup a connection pairs with.
@@ -46,18 +46,58 @@ pub struct PairedConn {
     pub first_use: bool,
 }
 
-/// One lookup's relevance to one address, packed flat in the arena.
-///
-/// `key` packs (client, answer address); a single global sort on
-/// `(key, completed, dns_idx)` groups each key's entries contiguously in
-/// exactly the order the old per-key `Vec` sort produced, so lookups
-/// become span scans over one allocation instead of a map of Vecs.
+/// One lookup's relevance to one `(client, address)` key: the element of
+/// a key's run in both the batch arena and the stream index, each run
+/// sorted by `(completed, dns_idx)`.
 #[derive(Debug, Clone, Copy)]
-struct ArenaEntry {
-    key: u64,
-    completed: Timestamp,
-    expires: Timestamp,
-    dns_idx: u32,
+pub(crate) struct IndexEntry {
+    pub(crate) completed: Timestamp,
+    pub(crate) expires: Timestamp,
+    /// The lookup's position in the dns log.
+    pub(crate) dns_idx: usize,
+}
+
+/// The lookup one connection pairs with, as chosen by [`pick`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pick {
+    pub(crate) entry: IndexEntry,
+    /// Every candidate had expired when the connection started.
+    pub(crate) expired: bool,
+    /// Non-expired candidates (the paper's ambiguity measure).
+    pub(crate) live: usize,
+}
+
+/// The pairing rule (paper §4) for a connection starting at `ts`, over
+/// one key's `(completed, dns_idx)`-sorted run: among the lookups
+/// completed by `ts`, the most recent non-expired one, else the most
+/// recent expired one. `random` replaces the non-expired choice with a
+/// uniform draw (the [`PairingPolicy::RandomNonExpired`] check). `None`
+/// when no lookup had completed.
+pub(crate) fn pick(run: &[IndexEntry], ts: Timestamp, random: Option<&mut StdRng>) -> Option<Pick> {
+    // Only lookups completed at or before the connection start.
+    let prior = &run[..run.partition_point(|e| e.completed <= ts)];
+    // Count live candidates in place (remembering the last one) rather
+    // than collecting them; the random policy draws an index over that
+    // count and rescans to it.
+    let mut live = 0usize;
+    let mut last_live = None;
+    for e in prior {
+        if e.expires > ts {
+            live += 1;
+            last_live = Some(e);
+        }
+    }
+    let Some(last_live) = last_live else {
+        return prior.last().map(|&entry| Pick { entry, expired: true, live });
+    };
+    let entry = match random {
+        None => *last_live,
+        Some(rng) => {
+            let k = rng.random_range(0..live);
+            *prior.iter().filter(|e| e.expires > ts).nth(k).expect("k < live candidates")
+        }
+    };
+    Some(Pick { entry, expired: false, live })
 }
 
 /// The `(client, address)` index key packed into one word; the batch
@@ -74,9 +114,9 @@ pub(crate) fn pack_key(client: Ipv4Addr, addr: Ipv4Addr) -> u64 {
 /// span map, and the first-use tables instead of reallocating them.
 #[derive(Default)]
 pub struct PairingScratch {
-    arena: Vec<ArenaEntry>,
-    /// Entries in dns-log order, before placement into keyed runs.
-    staged: Vec<ArenaEntry>,
+    arena: Vec<IndexEntry>,
+    /// Keyed entries in dns-log order, before placement into runs.
+    staged: Vec<(u64, IndexEntry)>,
     /// Keys in first-seen order — the deterministic traversal the
     /// counting sort uses instead of iterating the map.
     keys_in_order: Vec<u64>,
@@ -122,7 +162,6 @@ impl Pairing {
         dns: &[DnsTransaction],
         policy: PairingPolicy,
     ) -> Pairing {
-        assert!(dns.len() <= u32::MAX as usize, "dns log exceeds u32 arena indices");
         // Flat arena of (client, answer address) entries, grouped into
         // per-key runs by a counting sort: stage entries in dns order,
         // count per key, carve contiguous runs (in first-seen key order),
@@ -134,29 +173,24 @@ impl Pairing {
         // completion time and its per-run sort is close to linear.
         let staged = &mut scratch.staged;
         staged.clear();
-        for (i, txn) in dns.iter().enumerate() {
+        for (dns_idx, txn) in dns.iter().enumerate() {
             let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
                 continue;
             };
-            for addr in txn.addrs() {
-                staged.push(ArenaEntry {
-                    key: pack_key(txn.client, addr),
-                    completed,
-                    expires,
-                    dns_idx: i as u32,
-                });
-            }
+            let entry = IndexEntry { completed, expires, dns_idx };
+            staged.extend(txn.addrs().map(|addr| (pack_key(txn.client, addr), entry)));
         }
+        assert!(staged.len() <= u32::MAX as usize, "index exceeds u32 arena offsets");
         let spans = &mut scratch.spans;
         spans.clear();
         let keys_in_order = &mut scratch.keys_in_order;
         keys_in_order.clear();
-        for e in staged.iter() {
-            match spans.entry(e.key) {
+        for &(key, _) in staged.iter() {
+            match spans.entry(key) {
                 Entry::Occupied(mut o) => o.get_mut().1 += 1,
                 Entry::Vacant(v) => {
                     v.insert((0, 1));
-                    keys_in_order.push(e.key);
+                    keys_in_order.push(key);
                 }
             }
         }
@@ -170,12 +204,9 @@ impl Pairing {
         }
         let arena = &mut scratch.arena;
         arena.clear();
-        arena.resize(
-            staged.len(),
-            ArenaEntry { key: 0, completed: UNSEEN, expires: UNSEEN, dns_idx: 0 },
-        );
-        for e in staged.iter() {
-            let slot = spans.get_mut(&e.key).expect("counted key");
+        arena.resize(staged.len(), IndexEntry { completed: UNSEEN, expires: UNSEEN, dns_idx: 0 });
+        for (key, e) in staged.iter() {
+            let slot = spans.get_mut(key).expect("counted key");
             arena[slot.1 as usize] = *e;
             slot.1 += 1;
         }
@@ -195,70 +226,18 @@ impl Pairing {
             }
             app_conn_indices.push(ci);
             let key = pack_key(conn.id.orig_addr, conn.id.resp_addr);
-            let unpaired = PairedConn {
+            let random = matches!(policy, PairingPolicy::RandomNonExpired).then_some(&mut rng);
+            let picked = spans
+                .get(&key)
+                .and_then(|&(s, e)| pick(&arena[s as usize..e as usize], conn.ts, random));
+            pairs.push(PairedConn {
                 conn: ci,
-                dns: None,
-                gap: None,
-                expired: false,
-                candidates: 0,
-                first_use: false,
-            };
-            let span = spans.get(&key).map(|&(s, e)| &arena[s as usize..e as usize]);
-            let pair = match span {
-                None => unpaired,
-                Some(entries) => {
-                    // Only lookups completed at or before the connection start.
-                    let upto = entries.partition_point(|e| e.completed <= conn.ts);
-                    if upto == 0 {
-                        unpaired
-                    } else {
-                        let prior = &entries[..upto];
-                        // Count live candidates in place (remembering the
-                        // last one) rather than collecting them into a Vec;
-                        // the random policy draws an index over that count
-                        // and rescans to it, preserving the draw sequence.
-                        let mut live_count = 0usize;
-                        let mut last_live = None;
-                        for e in prior {
-                            if e.expires > conn.ts {
-                                live_count += 1;
-                                last_live = Some(e);
-                            }
-                        }
-                        let (chosen, expired) = if live_count == 0 {
-                            (prior.last().unwrap(), true)
-                        } else {
-                            match policy {
-                                PairingPolicy::MostRecent => (last_live.unwrap(), false),
-                                PairingPolicy::RandomNonExpired => {
-                                    let k = rng.random_range(0..live_count);
-                                    let mut seen = 0usize;
-                                    let mut hit = last_live.unwrap();
-                                    for e in prior {
-                                        if e.expires > conn.ts {
-                                            if seen == k {
-                                                hit = e;
-                                                break;
-                                            }
-                                            seen += 1;
-                                        }
-                                    }
-                                    (hit, false)
-                                }
-                            }
-                        };
-                        PairedConn {
-                            conn: ci,
-                            dns: Some(chosen.dns_idx as usize),
-                            gap: Some(conn.ts.since(chosen.completed)),
-                            expired,
-                            candidates: live_count,
-                            first_use: false, // filled below
-                        }
-                    }
-                }
-            };
-            pairs.push(pair);
+                dns: picked.map(|p| p.entry.dns_idx),
+                gap: picked.map(|p| conn.ts.since(p.entry.completed)),
+                expired: picked.is_some_and(|p| p.expired),
+                candidates: picked.map_or(0, |p| p.live),
+                first_use: false, // filled below
+            });
         }
 
         // First-use determination: the earliest-starting connection paired
@@ -306,27 +285,12 @@ impl Pairing {
     /// `pair.gap_ms` histogram over connection-start − lookup-completion
     /// gaps. `hit + fallback + miss == app_conns` by construction.
     pub fn metrics(&self) -> xkit::obs::Metrics {
-        let mut m = xkit::obs::Metrics::new();
-        let mut hit = 0u64;
-        let mut fallback = 0u64;
-        let mut miss = 0u64;
-        let mut first_use = 0u64;
+        let mut tally = PairTally::default();
         for p in &self.pairs {
-            match (p.dns, p.expired) {
-                (Some(_), false) => hit += 1,
-                (Some(_), true) => fallback += 1,
-                (None, _) => miss += 1,
-            }
-            first_use += u64::from(p.first_use);
-            if let Some(gap) = p.gap {
-                m.observe_with("pair.gap_ms", xkit::obs::HistSpec::time_ms(), gap.as_millis_f64());
-            }
+            tally.record(p.gap, p.expired, p.first_use);
         }
-        m.add("pair.hit", hit);
-        m.add("pair.fallback", fallback);
-        m.add("pair.miss", miss);
-        m.add("pair.first_use", first_use);
-        m.add("pair.app_conns", self.pairs.len() as u64);
+        let mut m = xkit::obs::Metrics::new();
+        tally.write(&mut m);
         m
     }
 

@@ -24,21 +24,24 @@
 //! sweeps fire on the same frames), so released connections only ever
 //! look up lookups that have already been released into the pairing
 //! index. The index assigns each released row its batch `dns_idx`
-//! ordinal, which makes candidate selection — `partition_point` on
-//! `(completed, dns_idx)` order, most-recent-live or expired-fallback —
-//! identical to [`Pairing::build`] over the full logs.
+//! ordinal and keeps each `(client, address)` run in `(completed,
+//! dns_idx)` order, so the batch pipeline's own rules apply unchanged:
+//! the candidate choice (`pairing::pick`), the N/LC/P/blocked decision
+//! and the SC/R split ([`crate::classify`]), and the snapshot
+//! ([`crate::tally::Tally`], [`zeek_lite::RowTally`]).
 //!
 //! # Eviction
 //!
 //! An index entry can be dropped once it is expired for every future
 //! connection (`expires <= w_conn`) *and* a newer entry under the same
 //! `(client, address)` key has already completed (`completed <= w_conn`),
-//! because the batch pairing would always prefer that newer entry, live
+//! because the pairing rule would always prefer that newer entry, live
 //! or as the expired fallback. The newest entry per key is never dropped
 //! — the expired-fallback rule can reach arbitrarily far back — so the
 //! irreducible residue is O(distinct (client, address) pairs), not
-//! O(lookups). Per-lookup claim state (first-use) is reference-counted
-//! and freed when a lookup's last index entry goes.
+//! O(lookups). Each lookup's resolver, duration and first-use claim live
+//! once, in a per-lookup record that counts the index entries pointing
+//! at it and goes with the last of them.
 //!
 //! Eviction is event-driven. An entry becomes evictable at
 //! `max(own expires, next entry's completed)`; each key remembers the
@@ -62,10 +65,10 @@
 //! connections cannot be split into `SC`/`R` at release time. Instead the
 //! engine folds, per resolver, the threshold inputs online plus a
 //! bucketed count of blocked-lookup durations (integer ceil-milliseconds
-//! — exact, because derived thresholds are whole milliseconds) and an
-//! exact `<= floor` count for resolvers that end below `min_lookups`.
-//! [`StreamEngine::finish`] settles the split; `N`/`LC`/`P` counts,
-//! pairing outcomes, and every histogram are folded at release time.
+//! — exact, because derived thresholds are whole milliseconds) and the
+//! split at the floor threshold for resolvers that end below
+//! `min_lookups`. [`StreamEngine::finish`] settles the split; everything
+//! else is folded at release time.
 //!
 //! # Assumptions
 //!
@@ -76,28 +79,18 @@
 //!   policy draws from one RNG in conn order interleaved with index
 //!   state, which has no bounded-memory equivalent; `new` asserts this.
 
-use crate::classify::ThresholdRule;
-use crate::pairing::{pack_key, PairingPolicy};
+use crate::classify::{split, unblocked_class, ConnClass, LookupDurations};
+use crate::pairing::{pack_key, pick, IndexEntry, PairingPolicy};
+use crate::tally::{Settled, Tally};
 use crate::{AnalysisConfig, ClassCounts};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
-use xkit::collections::{FastMap, FastSet};
-use xkit::obs::{HistSpec, Metrics};
-use zeek_lite::{ConnRecord, DnsTransaction, Duration, Monitor, MonitorConfig, Timestamp};
-
-/// One lookup's relevance to one `(client, address)` key, carrying enough
-/// of the transaction to classify a released connection without retaining
-/// the DNS log itself.
-#[derive(Debug, Clone, Copy)]
-struct StreamEntry {
-    completed: Timestamp,
-    expires: Timestamp,
-    /// The lookup's position in the (virtual) batch dns.log.
-    dns_idx: usize,
-    resolver: Ipv4Addr,
-    rtt: Duration,
-}
+use xkit::collections::FastMap;
+use xkit::obs::Metrics;
+use zeek_lite::{
+    ConnRecord, DnsTransaction, Duration, Monitor, MonitorConfig, RowTally, Timestamp,
+};
 
 /// A due time no entry ever reaches (a run with one entry).
 const NEVER: Timestamp = Timestamp(u64::MAX);
@@ -105,42 +98,32 @@ const NEVER: Timestamp = Timestamp(u64::MAX);
 /// The earliest instant any entry of a `(completed, dns_idx)`-sorted run
 /// becomes evictable: an entry goes once it is expired for every future
 /// connection and its successor has completed.
-fn run_due(entries: &[StreamEntry]) -> Timestamp {
+fn run_due(entries: &[IndexEntry]) -> Timestamp {
     entries.windows(2).map(|p| p[0].expires.max(p[1].completed)).min().unwrap_or(NEVER)
 }
 
-/// Per-resolver accumulators: threshold inputs plus the deferred SC/R
-/// bucket counts. Bounded by the resolver population, not the trace.
-#[derive(Debug, Default)]
-struct ResolverAcc {
-    /// Minimum observed lookup duration, ms (threshold anchor).
-    min_ms: f64,
-    /// Answered lookups seen (threshold eligibility).
-    answered: usize,
-    /// Blocked-connection lookup durations, bucketed by ceil-milliseconds.
-    blocked_ceil_ms: BTreeMap<u64, u64>,
-    /// Blocked connections with duration `<= floor` (used when the
-    /// resolver ends below `min_lookups`).
-    blocked_le_floor: u64,
-    /// All blocked connections attributed to this resolver.
-    blocked_total: u64,
-}
-
-impl ResolverAcc {
-    fn new() -> ResolverAcc {
-        ResolverAcc { min_ms: f64::INFINITY, ..ResolverAcc::default() }
-    }
-}
-
-/// A released connection's pairing outcome, before the first-use /
-/// metrics fold (a pure function of the index).
-#[derive(Debug, Clone, Copy)]
-struct PairedLite {
-    dns_idx: Option<usize>,
-    gap: Duration,
-    expired: bool,
+/// What the engine keeps per indexed lookup: enough of the transaction
+/// to classify a released connection without retaining the DNS log.
+#[derive(Debug)]
+struct Lookup {
     resolver: Ipv4Addr,
     rtt: Duration,
+    /// Live index entries pointing at this lookup.
+    refs: usize,
+    /// A connection has already paired with it (first use is taken).
+    claimed: bool,
+}
+
+/// Per-resolver accumulators: threshold inputs plus the deferred SC/R
+/// counts. Bounded by the resolver population, not the trace.
+#[derive(Debug, Default)]
+struct ResolverAcc {
+    durations: LookupDurations,
+    /// Blocked-connection lookup durations, bucketed by ceil-milliseconds.
+    blocked_ceil_ms: BTreeMap<u64, usize>,
+    /// The same connections split at the floor threshold (used when the
+    /// resolver ends below `min_lookups`).
+    at_floor: ClassCounts,
 }
 
 /// The rows released at one epoch boundary, in canonical log order.
@@ -198,35 +181,26 @@ impl StreamResult {
 pub struct StreamEngine {
     monitor: Monitor,
     cfg: AnalysisConfig,
-    floor: Duration,
     /// Completed-but-unreleased rows; bounded by the window, not the trace.
     buf_conns: Vec<ConnRecord>,
     buf_dns: Vec<DnsTransaction>,
     /// The streaming pairing index, keyed by [`pack_key`], per-key
     /// sorted by `(completed, dns_idx)`.
-    index: FastMap<u64, Vec<StreamEntry>>,
+    index: FastMap<u64, Vec<IndexEntry>>,
+    /// dns_idx → the lookup its index entries point at.
+    lookups: FastMap<usize, Lookup>,
     /// Each key's due time ([`run_due`]), for keys that have one.
     armed: FastMap<u64, Timestamp>,
     /// `(due, key)` eviction events, earliest first; an event whose key
     /// is no longer armed at or before the watermark is stale.
     due: BinaryHeap<Reverse<(Timestamp, u64)>>,
     live_entries: u64,
-    /// dns_idx → number of live index entries referencing it.
-    refcount: FastMap<usize, usize>,
-    /// Lookups already claimed by a first-use connection.
-    claimed: FastSet<usize>,
     next_dns_idx: usize,
     resolvers: HashMap<Ipv4Addr, ResolverAcc>,
-    /// Incrementally folded counters and histograms (`pair.*`, `perf.*`,
-    /// `zeek.dns_rtt_ms`, class N/LC/P).
-    acc: Metrics,
-    class_no_dns: u64,
-    class_local_cache: u64,
-    class_prefetched: u64,
-    released_conns: u64,
-    released_dns: u64,
-    released_app: u64,
-    paired: u64,
+    /// The released rows' `zeek.*` keys.
+    rows: RowTally,
+    /// The released connections' analysis keys.
+    tally: Tally,
     epochs: u64,
     evicted_answers: u64,
     evicted_flows: u64,
@@ -246,29 +220,20 @@ impl StreamEngine {
             matches!(cfg.policy, PairingPolicy::MostRecent),
             "streaming supports the MostRecent pairing policy only"
         );
-        let floor = Duration::from_secs_f64(cfg.threshold_rule.floor_ms / 1e3);
         StreamEngine {
             monitor: Monitor::new(monitor),
             cfg,
-            floor,
             buf_conns: Vec::new(),
             buf_dns: Vec::new(),
             index: FastMap::default(),
+            lookups: FastMap::default(),
             armed: FastMap::default(),
             due: BinaryHeap::new(),
             live_entries: 0,
-            refcount: FastMap::default(),
-            claimed: FastSet::default(),
             next_dns_idx: 0,
             resolvers: HashMap::new(),
-            acc: Metrics::new(),
-            class_no_dns: 0,
-            class_local_cache: 0,
-            class_prefetched: 0,
-            released_conns: 0,
-            released_dns: 0,
-            released_app: 0,
-            paired: 0,
+            rows: RowTally::default(),
+            tally: Tally::default(),
             epochs: 0,
             evicted_answers: 0,
             evicted_flows: 0,
@@ -289,28 +254,26 @@ impl StreamEngine {
         self.hub = Some(hub);
     }
 
+    /// The engine's own `stream.*` counters and peak gauges.
+    fn write_stream_keys(&self, m: &mut Metrics) {
+        m.add("stream.epochs", self.epochs);
+        m.add("stream.evicted_answers", self.evicted_answers);
+        m.add("stream.evicted_flows", self.evicted_flows);
+        m.gauge_max("stream.peak_live_flows", self.peak_live_flows as f64);
+        m.gauge_max("stream.peak_live_answers", self.peak_live_answers as f64);
+    }
+
     /// Fold current state into the hub (no-op without one). Published
-    /// counters are the already-folded accumulators, so a scrape between
+    /// counters are the already-folded tallies, so a scrape between
     /// two epochs never exceeds the final value of any counter and the
     /// degradation identities hold at every instant; the `stream.live_*`
     /// and `stream.w_*` gauges are point-in-time readings.
     fn publish_live(&self, w_conn: Timestamp, w_dns: Timestamp) {
         let Some(hub) = &self.hub else { return };
         let mut m = self.monitor.live_metrics();
-        m.add("zeek.conn_rows", self.released_conns);
-        m.add("zeek.dns_rows", self.released_dns);
-        m.add("zeek.app_conns", self.released_app);
-        m.merge(&self.acc);
-        m.add("cover.app_conns", self.released_app);
-        m.add("cover.paired", self.paired);
-        m.add("class.no_dns", self.class_no_dns);
-        m.add("class.local_cache", self.class_local_cache);
-        m.add("class.prefetched", self.class_prefetched);
-        m.add("stream.epochs", self.epochs);
-        m.add("stream.evicted_answers", self.evicted_answers);
-        m.add("stream.evicted_flows", self.evicted_flows);
-        m.gauge_max("stream.peak_live_flows", self.peak_live_flows as f64);
-        m.gauge_max("stream.peak_live_answers", self.peak_live_answers as f64);
+        self.rows.write(&mut m);
+        self.tally.write(&mut m, None);
+        self.write_stream_keys(&mut m);
         let (flows, answers) = self.live_state();
         m.gauge_max("stream.live_flows", flows as f64);
         m.gauge_max("stream.live_answers", answers as f64);
@@ -335,24 +298,20 @@ impl StreamEngine {
         self.buf_dns.extend(self.monitor.drain_dns());
 
         // High-water marks over everything currently held in memory,
-        // measured before the release empties the buffers.
-        let live_flows = self.monitor.active_flows() as u64 + self.buf_conns.len() as u64;
-        self.peak_live_flows = self.peak_live_flows.max(live_flows);
-        // Answers are counted per *lookup* (a multi-address response pins
-        // one row however many index entries it fans out to), so the peak
+        // measured before the release empties the buffers. Answers are
+        // counted per *lookup* (a multi-address response pins one record
+        // however many index entries it fans out to), so the peak
         // compares directly against the full-trace dns.log row count.
-        let live_answers = self.refcount.len() as u64
-            + self.buf_dns.len() as u64
-            + self.monitor.pending_dns() as u64;
+        let (live_flows, live_answers) = self.live_state();
+        self.peak_live_flows = self.peak_live_flows.max(live_flows);
         self.peak_live_answers = self.peak_live_answers.max(live_answers);
 
-        let cap = boundary.unwrap_or(Timestamp::ZERO);
-        if boundary.is_none() {
+        let Some(cap) = boundary else {
             // Unwindowed: nothing is safe to release before end of input,
             // but the live plane still sees the folded counters.
             self.publish_live(Timestamp::ZERO, Timestamp::ZERO);
             return EpochOutput::default();
-        }
+        };
         let w_dns = self.monitor.oldest_pending_dns_ts().map_or(cap, |t| t.min(cap));
         let w_conn = self.monitor.oldest_active_flow_start().map_or(cap, |t| t.min(cap));
         // The invariant w_conn <= w_dns holds for monotone input (module
@@ -387,75 +346,41 @@ impl StreamEngine {
     }
 
     /// Flush everything: drain the monitor, release all remaining rows,
-    /// settle the deferred SC/R split, and assemble both snapshots.
+    /// settle the deferred SC/R split, and render both snapshots.
     pub fn finish(mut self) -> StreamResult {
         let monitor =
             std::mem::replace(&mut self.monitor, Monitor::new(MonitorConfig::default()));
-        let residual = monitor.finish();
-        let zeek_lite::Logs { conns, dns, stats, degradation } = residual;
+        let zeek_lite::Logs { conns, dns, stats, degradation } = monitor.finish();
         self.buf_conns.extend(conns);
         self.buf_dns.extend(dns);
-        let tail = self.release(Timestamp(u64::MAX), Timestamp(u64::MAX));
+        let tail = self.release(NEVER, NEVER);
 
-        // Settle the deferred SC/R split from the per-resolver buckets.
-        let rule: ThresholdRule = self.cfg.threshold_rule;
+        let rule = self.cfg.threshold_rule;
         let mut thresholds: HashMap<Ipv4Addr, Duration> = HashMap::new();
-        let mut shared_cache = 0u64;
-        let mut resolution = 0u64;
         // lint: allow(no-map-iteration): order-insensitive integer folds per resolver
         for (addr, acc) in &self.resolvers {
-            if acc.answered >= rule.min_lookups {
-                let thr_ms = (acc.min_ms * rule.mult + rule.add_ms).max(rule.floor_ms).ceil();
-                thresholds.insert(*addr, Duration::from_secs_f64(thr_ms / 1e3));
-                // Derived thresholds are whole milliseconds, so
-                // `dur <= thr` is exactly `ceil_ms(dur) <= thr_ms`.
-                let sc: u64 = acc.blocked_ceil_ms.range(..=thr_ms as u64).map(|(_, n)| n).sum();
-                shared_cache += sc;
-                resolution += acc.blocked_total - sc;
-            } else {
-                shared_cache += acc.blocked_le_floor;
-                resolution += acc.blocked_total - acc.blocked_le_floor;
+            let classes = &mut self.tally.classes;
+            let Some(thr) = rule.threshold(&acc.durations) else {
+                for class in [ConnClass::SharedCache, ConnClass::Resolution] {
+                    classes.add(class, acc.at_floor.get(class));
+                }
+                continue;
+            };
+            thresholds.insert(*addr, thr);
+            // Derived thresholds are whole milliseconds, so a duration is
+            // within one exactly when its ceil-millisecond bucket is.
+            for (&ms, &n) in &acc.blocked_ceil_ms {
+                classes.add(split(Duration::from_millis(ms), thr), n);
             }
         }
-        let class_counts = ClassCounts {
-            no_dns: self.class_no_dns as usize,
-            local_cache: self.class_local_cache as usize,
-            prefetched: self.class_prefetched as usize,
-            shared_cache: shared_cache as usize,
-            resolution: resolution as usize,
-        };
 
-        // The analysis snapshot, assembled to match the batch pipeline's
-        // `logs.metrics()` merged with `Analysis::metrics()` exactly.
         let mut m = stats.to_metrics();
         m.merge(&degradation.to_metrics());
-        m.add("zeek.conn_rows", self.released_conns);
-        m.add("zeek.dns_rows", self.released_dns);
-        m.add("zeek.app_conns", self.released_app);
-        // The batch snapshot always carries this key, even at zero.
-        m.add("perf.blocked_conns", 0);
-        m.merge(&self.acc);
-        m.gauge_max("cover.frame_acceptance", degradation.frame_acceptance());
-        m.gauge_max("cover.dns_acceptance", degradation.dns_acceptance());
-        m.add("cover.app_conns", self.released_app);
-        m.add("cover.paired", self.paired);
-        m.add("class.no_dns", self.class_no_dns);
-        m.add("class.local_cache", self.class_local_cache);
-        m.add("class.prefetched", self.class_prefetched);
-        m.add("class.shared_cache", shared_cache);
-        m.add("class.resolution", resolution);
-        m.add("threshold.resolvers", thresholds.len() as u64);
-        // lint: allow(no-map-iteration): one metrics key per map key; Metrics stores sorted
-        for (addr, thr) in &thresholds {
-            m.gauge_max(&format!("threshold.{addr}.ms"), thr.as_millis_f64());
-        }
-
+        self.rows.write(&mut m);
+        let settled = Settled { degradation: &degradation, thresholds: &thresholds };
+        self.tally.write(&mut m, Some(settled));
         let mut s = Metrics::new();
-        s.add("stream.epochs", self.epochs);
-        s.add("stream.evicted_answers", self.evicted_answers);
-        s.add("stream.evicted_flows", self.evicted_flows);
-        s.gauge_max("stream.peak_live_flows", self.peak_live_flows as f64);
-        s.gauge_max("stream.peak_live_answers", self.peak_live_answers as f64);
+        self.write_stream_keys(&mut s);
 
         // The last published snapshot is the settled one: every mid-run
         // scrape was a prefix of it.
@@ -469,7 +394,7 @@ impl StreamEngine {
             tail,
             analysis_metrics: m,
             stream_metrics: s,
-            class_counts,
+            class_counts: self.tally.classes,
             thresholds,
         }
     }
@@ -486,35 +411,33 @@ impl StreamEngine {
 
         let mut conn_out: Vec<_> = self.buf_conns.extract_if(.., |c| c.ts < w_conn).collect();
         conn_out.sort_by_key(|c| (c.ts, c.uid));
-        self.absorb_conns(&conn_out);
+        for conn in &conn_out {
+            self.absorb_conn(conn);
+        }
 
         EpochOutput { conns: conn_out, dns: dns_out }
     }
 
     /// Give one released DNS row its batch ordinal and fold it into the
-    /// index, the threshold accumulators, and the RTT histogram.
+    /// row tally, the threshold inputs, and the index.
     fn ingest_dns(&mut self, txn: &DnsTransaction) {
-        self.released_dns += 1;
+        self.rows.dns(txn);
         let idx = self.next_dns_idx;
         self.next_dns_idx += 1;
         if let Some(rtt) = txn.rtt {
-            self.acc.observe_with("zeek.dns_rtt_ms", HistSpec::time_ms(), rtt.as_millis_f64());
-            let acc = self.resolvers.entry(txn.resolver).or_insert_with(ResolverAcc::new);
-            acc.min_ms = acc.min_ms.min(rtt.as_millis_f64());
-            acc.answered += 1;
+            self.resolvers.entry(txn.resolver).or_default().durations.observe(rtt);
         }
-        let (Some(completed), Some(expires)) = (txn.completed_at(), txn.expires_at()) else {
+        let (Some(completed), Some(expires), Some(rtt)) =
+            (txn.completed_at(), txn.expires_at(), txn.rtt)
+        else {
             return;
         };
-        let rtt = txn.rtt.expect("completed lookups are answered");
+        let mut refs = 0;
         for addr in txn.addrs() {
             let key = pack_key(txn.client, addr);
             let entries = self.index.entry(key).or_default();
             let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
-            entries.insert(
-                pos,
-                StreamEntry { completed, expires, dns_idx: idx, resolver: txn.resolver, rtt },
-            );
+            entries.insert(pos, IndexEntry { completed, expires, dns_idx: idx });
             // Only the pairs through the new entry changed (its
             // predecessor's successor, and its own), and neither can be
             // later than before: the key's due time can only move earlier.
@@ -523,108 +446,43 @@ impl StreamEngine {
                 self.armed.insert(key, due);
                 self.due.push(Reverse((due, key)));
             }
-            self.live_entries += 1;
-            *self.refcount.entry(idx).or_insert(0) += 1;
+            refs += 1;
+        }
+        if refs > 0 {
+            self.live_entries += refs as u64;
+            let lookup = Lookup { resolver: txn.resolver, rtt, refs, claimed: false };
+            self.lookups.insert(idx, lookup);
         }
     }
 
-    /// Pair one application connection against the index — the exact
-    /// per-connection rule of [`Pairing::build`], over released lookups.
-    fn pair_conn(index: &FastMap<u64, Vec<StreamEntry>>, conn: &ConnRecord) -> PairedLite {
-        let unpaired = PairedLite {
-            dns_idx: None,
-            gap: Duration::ZERO,
-            expired: false,
-            resolver: Ipv4Addr::UNSPECIFIED,
-            rtt: Duration::ZERO,
-        };
-        let Some(entries) = index.get(&pack_key(conn.id.orig_addr, conn.id.resp_addr)) else {
-            return unpaired;
-        };
-        let upto = entries.partition_point(|e| e.completed <= conn.ts);
-        if upto == 0 {
-            return unpaired;
-        }
-        let prior = &entries[..upto];
-        // Streaming is MostRecent-only, so one reverse scan for the newest
-        // live entry replaces collecting candidates into a Vec.
-        let last_live = prior.iter().rev().find(|e| e.expires > conn.ts);
-        let (chosen, expired) = if let Some(last_live) = last_live {
-            (*last_live, false)
-        } else {
-            (*prior.last().expect("upto > 0"), true)
-        };
-        PairedLite {
-            dns_idx: Some(chosen.dns_idx),
-            gap: conn.ts.since(chosen.completed),
-            expired,
-            resolver: chosen.resolver,
-            rtt: chosen.rtt,
-        }
-    }
-
-    /// Fold a `(ts, uid)`-sorted release batch of connections into the
-    /// pairing/classification accumulators, in release order.
-    fn absorb_conns(&mut self, conns: &[ConnRecord]) {
-        self.released_conns += conns.len() as u64;
-        let mut hit = 0u64;
-        let mut fallback = 0u64;
-        let mut miss = 0u64;
-        let mut first_uses = 0u64;
-        let mut app = 0u64;
-        for conn in conns.iter().filter(|c| !c.is_dns()) {
-            let p = Self::pair_conn(&self.index, conn);
-            app += 1;
-            let Some(di) = p.dns_idx else {
-                miss += 1;
-                self.class_no_dns += 1;
-                continue;
-            };
-            self.paired += 1;
-            if p.expired {
-                fallback += 1;
-            } else {
-                hit += 1;
-            }
-            self.acc.observe_with("pair.gap_ms", HistSpec::time_ms(), p.gap.as_millis_f64());
-            let first_use = self.claimed.insert(di);
-            first_uses += u64::from(first_use);
-            if p.gap > self.cfg.block_threshold {
-                if first_use {
-                    self.class_prefetched += 1;
-                } else {
-                    self.class_local_cache += 1;
-                }
-            } else {
-                // Blocked: SC vs R settles at finish; everything else
-                // about the connection is already known.
-                self.acc.add("perf.blocked_conns", 1);
-                self.acc.observe_with(
-                    "perf.blocked_dns_ms",
-                    HistSpec::time_ms(),
-                    p.rtt.as_millis_f64(),
-                );
-                let acc = self.resolvers.entry(p.resolver).or_insert_with(ResolverAcc::new);
-                acc.blocked_total += 1;
-                *acc.blocked_ceil_ms.entry(p.rtt.nanos().div_ceil(1_000_000)).or_insert(0) += 1;
-                if p.rtt <= self.floor {
-                    acc.blocked_le_floor += 1;
-                }
-            }
-        }
-        self.released_app += app;
-        if app == 0 {
+    /// Fold one released connection, in release order, into the row
+    /// tally and (for an application connection) the analysis tally.
+    fn absorb_conn(&mut self, conn: &ConnRecord) {
+        self.rows.conn(conn);
+        if conn.is_dns() {
             return;
         }
-        self.acc.add("pair.hit", hit);
-        self.acc.add("pair.fallback", fallback);
-        self.acc.add("pair.miss", miss);
-        self.acc.add("pair.first_use", first_uses);
-        self.acc.add("pair.app_conns", app);
+        let key = pack_key(conn.id.orig_addr, conn.id.resp_addr);
+        let picked = self.index.get(&key).and_then(|run| pick(run, conn.ts, None));
+        let mut lookup = picked
+            .map(|p| self.lookups.get_mut(&p.entry.dns_idx).expect("indexed lookups are kept"));
+        // The earliest released connection to pair with a lookup is its
+        // first use, exactly as the batch pairing's ts-ordered claim.
+        let first_use = lookup.as_mut().is_some_and(|l| !std::mem::replace(&mut l.claimed, true));
+        let gap = picked.map(|p| conn.ts.since(p.entry.completed));
+        let class = unblocked_class(gap, first_use, self.cfg.block_threshold);
+        let rtt = lookup.as_ref().map_or(Duration::ZERO, |l| l.rtt);
+        if let (None, Some(l)) = (class, &lookup) {
+            // Blocked: SC vs R settles at finish.
+            let acc = self.resolvers.entry(l.resolver).or_default();
+            *acc.blocked_ceil_ms.entry(rtt.nanos().div_ceil(1_000_000)).or_insert(0) += 1;
+            acc.at_floor.add(split(rtt, self.cfg.threshold_rule.floor()), 1);
+        }
+        self.tally.record(gap, picked.is_some_and(|p| p.expired), first_use, class, rtt);
     }
 
     /// Drop index entries no future connection can pair with (module
-    /// docs), releasing per-lookup claim state when the last entry goes.
+    /// docs), releasing a lookup's record when its last entry goes.
     /// Visits only the keys whose due time has passed.
     fn evict(&mut self, w: Timestamp) {
         while let Some(&Reverse((due, key))) = self.due.peek() {
@@ -648,12 +506,11 @@ impl StreamEngine {
                 if gone {
                     self.evicted_answers += 1;
                     self.live_entries -= 1;
-                    let rc =
-                        self.refcount.get_mut(&e.dns_idx).expect("indexed entries are refcounted");
-                    *rc -= 1;
-                    if *rc == 0 {
-                        self.refcount.remove(&e.dns_idx);
-                        self.claimed.remove(&e.dns_idx);
+                    let lookup =
+                        self.lookups.get_mut(&e.dns_idx).expect("indexed lookups are kept");
+                    lookup.refs -= 1;
+                    if lookup.refs == 0 {
+                        self.lookups.remove(&e.dns_idx);
                     }
                 }
                 !gone
@@ -671,11 +528,11 @@ impl StreamEngine {
     }
 
     /// Live state right now: `(flows, answers)` — tracker + buffered
-    /// connections, and pinned + buffered + pending DNS lookups.
+    /// connections, and indexed + buffered + pending DNS lookups.
     pub fn live_state(&self) -> (u64, u64) {
         (
             self.monitor.active_flows() as u64 + self.buf_conns.len() as u64,
-            self.refcount.len() as u64
+            self.lookups.len() as u64
                 + self.buf_dns.len() as u64
                 + self.monitor.pending_dns() as u64,
         )
@@ -718,14 +575,14 @@ pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
         engine.set_hub(hub.clone());
     }
     let window_nanos = window.nanos();
-    // Inline epoch windowing over the source's borrowed records (the
-    // frames feed the engine immediately, so nothing needs to be owned).
-    // Semantics mirror `pcapio::Epochs` exactly: epoch k covers
-    // [k*window, (k+1)*window) ns, the epoch index is clamped monotone on
-    // disordered input, the first record opens its own epoch, window 0 is
-    // a single epoch with no boundary, and a read error ends the stream
-    // after the records already consumed (the failing record is counted
-    // in `capture.frames_rejected`).
+    // Epoch windowing over the source's borrowed records (the frames feed
+    // the engine immediately, so nothing needs to be owned). Epoch k
+    // covers [k*window, (k+1)*window) ns; the epoch index is clamped
+    // monotone on disordered input (a late record joins the current
+    // epoch); the first record opens its own epoch; window 0 is a single
+    // epoch with no boundary; an empty source closes no epoch; and a read
+    // error ends the stream after the records already consumed (the
+    // failing record is counted in `capture.frames_rejected`).
     let mut current_epoch = 0u64;
     let mut started = false;
     loop {
@@ -757,19 +614,6 @@ pub fn process_source_observed<S: pcapio::RecordSource + ?Sized>(
         sink(engine.end_epoch(boundary));
     }
     Ok(engine.finish())
-}
-
-/// The file-backend spelling of [`process_source`]: parse the pcap
-/// global header from `input` and stream the records through the engine.
-pub fn process_pcap<R: std::io::Read>(
-    input: R,
-    window: Duration,
-    monitor: MonitorConfig,
-    cfg: AnalysisConfig,
-    sink: impl FnMut(EpochOutput),
-) -> Result<StreamResult, pcapio::PcapError> {
-    let mut source = pcapio::source::file(input)?;
-    process_source(&mut source, window, monitor, cfg, sink)
 }
 
 #[cfg(test)]
@@ -948,7 +792,7 @@ mod tests {
     /// recent expired), so it also checks the claim state.
     #[derive(Default)]
     struct SweepOracle {
-        index: HashMap<(Ipv4Addr, Ipv4Addr), Vec<StreamEntry>>,
+        index: HashMap<(Ipv4Addr, Ipv4Addr), Vec<IndexEntry>>,
         refcount: HashMap<usize, usize>,
         claimed: std::collections::HashSet<usize>,
         next_dns_idx: usize,
@@ -966,11 +810,7 @@ mod tests {
             for addr in txn.addrs() {
                 let entries = self.index.entry((txn.client, addr)).or_default();
                 let pos = entries.partition_point(|e| (e.completed, e.dns_idx) <= (completed, idx));
-                let rtt = txn.rtt.unwrap();
-                entries.insert(
-                    pos,
-                    StreamEntry { completed, expires, dns_idx: idx, resolver: txn.resolver, rtt },
-                );
+                entries.insert(pos, IndexEntry { completed, expires, dns_idx: idx });
                 self.live_entries += 1;
                 *self.refcount.entry(idx).or_insert(0) += 1;
             }
@@ -1093,13 +933,14 @@ mod tests {
                 assert_eq!(engine.evicted_answers, oracle.evicted_answers, "evicted, {at}");
                 assert_eq!(engine.live_entries, oracle.live_entries, "live entries, {at}");
                 let mut rc: Vec<(usize, usize)> =
-                    engine.refcount.iter().map(|(k, v)| (*k, *v)).collect();
+                    engine.lookups.iter().map(|(k, l)| (*k, l.refs)).collect();
                 let mut rc_oracle: Vec<(usize, usize)> =
                     oracle.refcount.iter().map(|(k, v)| (*k, *v)).collect();
                 rc.sort_unstable();
                 rc_oracle.sort_unstable();
                 assert_eq!(rc, rc_oracle, "refcounts, {at}");
-                let mut claimed: Vec<usize> = engine.claimed.iter().copied().collect();
+                let mut claimed: Vec<usize> =
+                    engine.lookups.iter().filter(|(_, l)| l.claimed).map(|(k, _)| *k).collect();
                 let mut claimed_oracle: Vec<usize> = oracle.claimed.iter().copied().collect();
                 claimed.sort_unstable();
                 claimed_oracle.sort_unstable();
@@ -1108,6 +949,127 @@ mod tests {
             let evicted = engine.evicted_answers;
             assert!(evicted > 100, "seed {seed}: only {evicted} evictions exercised");
         }
+    }
+
+    #[test]
+    fn a_resolver_below_min_lookups_settles_alike_in_batch_and_stream() {
+        const OTHER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 54);
+        let mut cfg = AnalysisConfig::default();
+        cfg.threshold_rule.min_lookups = 3;
+        // A fractional floor: 4.2 ms and 4.7 ms share the 5 ms ceil bucket
+        // but fall on either side of it, so the below-`min_lookups`
+        // resolver must split exactly, not by bucket.
+        cfg.threshold_rule.floor_ms = 4.5;
+        let lookup = |ts_ms: u64, id: u16, resolver: Ipv4Addr, rtt_us: u64| {
+            let mut t = txn(ts_ms, id, 300);
+            t.resolver = resolver;
+            t.rtt = Some(Duration::from_micros(rtt_us));
+            t
+        };
+        // RESOLVER answers two lookups (below min_lookups, floor 4.5 ms);
+        // OTHER answers three (own threshold: ceil(2 * 1.5 + 2) = 5 ms).
+        let dns = vec![
+            lookup(1_000, 1, RESOLVER, 4_200),
+            lookup(2_000, 2, RESOLVER, 4_700),
+            lookup(3_000, 3, OTHER, 2_000),
+            lookup(4_000, 4, OTHER, 9_000),
+            lookup(5_000, 5, OTHER, 2_500),
+        ];
+        // Each connection blocks on the lookup just before it.
+        let conns = [1_010, 2_010, 3_010, 4_020, 5_010]
+            .iter()
+            .zip(1..)
+            .map(|(&ts, uid)| conn(ts, uid))
+            .collect::<Vec<_>>();
+        let mut logs = Logs { conns: conns.clone(), dns: dns.clone(), ..Default::default() };
+        logs.sort();
+        let analysis = Analysis::run(&logs, cfg.clone());
+        let mut batch = logs.metrics();
+        batch.merge(&analysis.metrics());
+
+        let (_, _, result) = stream_rows(conns, dns, &[2_500, 4_500, 10_000], cfg);
+        let counts = result.class_counts;
+        assert_eq!((counts.shared_cache, counts.resolution), (3, 2));
+        assert_eq!(counts, analysis.class_counts());
+        assert_eq!(result.thresholds, HashMap::from([(OTHER, Duration::from_millis(5))]));
+        assert_eq!(result.thresholds, analysis.thresholds);
+        assert_eq!(result.analysis_metrics.to_json(), batch.to_json());
+    }
+
+    /// Stream one-byte frames stamped `stamps` (ns) in `window_ns` epochs
+    /// and read each closed epoch off the hub: the frames seen so far and
+    /// the epoch's exclusive end in ns (0 when unwindowed).
+    fn epochs_of(stamps: &[u64], window_ns: u64) -> (Vec<(u64, u64)>, StreamResult) {
+        let mut buf = Vec::new();
+        let mut w = pcapio::PcapWriter::new(&mut buf, 96, pcapio::TsPrecision::Nano).unwrap();
+        for &ts in stamps {
+            w.write_packet(ts, &[ts as u8], None).unwrap();
+        }
+        drop(w);
+        let hub = xkit::obs::ObsHub::default();
+        let mut closed = Vec::new();
+        let result = process_source_observed(
+            &mut pcapio::source::file(&buf[..]).unwrap(),
+            Duration(window_ns),
+            MonitorConfig::default(),
+            AnalysisConfig::default(),
+            Some(&hub),
+            |_| {
+                let m = hub.metrics();
+                let end = m.gauge("stream.w_conn_s").unwrap();
+                closed.push((m.counter("zeek.frames_seen"), (end * 1e9).round() as u64));
+            },
+        )
+        .unwrap();
+        (closed, result)
+    }
+
+    #[test]
+    fn epochs_split_on_window_boundaries() {
+        // Window of 10 ns: [0,10), [10,20), [30,40); no empty epoch between.
+        let (closed, result) = epochs_of(&[1, 5, 9, 10, 19, 35], 10);
+        assert_eq!(closed, vec![(3, 10), (5, 20), (6, 40)]);
+        assert_eq!(result.stream_metrics.counter("stream.epochs"), 3);
+    }
+
+    #[test]
+    fn epochs_zero_window_is_single_epoch() {
+        let (closed, result) = epochs_of(&[1, 500, 1_000_000], 0);
+        assert_eq!(closed, vec![(3, 0)]);
+        assert_eq!(result.stream_metrics.counter("stream.epochs"), 1);
+    }
+
+    #[test]
+    fn epochs_clamp_monotone_on_disordered_input() {
+        // 25 opens epoch 2; the out-of-order 4 stays in epoch 2 rather
+        // than reopening epoch 0.
+        let (closed, _) = epochs_of(&[25, 4, 31], 10);
+        assert_eq!(closed, vec![(2, 30), (3, 40)]);
+    }
+
+    #[test]
+    fn epochs_empty_capture_yields_nothing() {
+        let (closed, result) = epochs_of(&[], 10);
+        assert!(closed.is_empty());
+        assert_eq!(result.stream_metrics.counter("stream.epochs"), 0);
+        assert_eq!(result.analysis_metrics.counter("zeek.frames_seen"), 0);
+    }
+
+    #[test]
+    fn epochs_concatenation_is_lossless() {
+        let stamps: Vec<u64> = (0..100).map(|i| i * 7).collect();
+        let (closed, result) = epochs_of(&stamps, 64);
+        // Every epoch holds exactly the stamps of its window, in order.
+        let mut want = Vec::new();
+        for (i, ts) in stamps.iter().enumerate() {
+            let end = (ts / 64 + 1) * 64;
+            match want.last_mut() {
+                Some((seen, e)) if *e == end => *seen = i as u64 + 1,
+                _ => want.push((i as u64 + 1, end)),
+            }
+        }
+        assert_eq!(closed, want);
+        assert_eq!(result.analysis_metrics.counter("zeek.frames_seen"), 100);
     }
 
     #[test]

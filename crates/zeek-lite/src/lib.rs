@@ -39,7 +39,7 @@ pub use columns::{ConnColumns, DnsColumns};
 pub use degradation::DegradationStats;
 pub use dns::{Answer, AnswerData, DnsTransaction};
 pub use history::History;
-pub use monitor::{Logs, Monitor, MonitorConfig, MonitorStats};
+pub use monitor::{Logs, Monitor, MonitorConfig, MonitorStats, RowTally};
 pub use time::{Duration, Timestamp};
 pub use tracker::{ConnRecord, ConnState};
 pub use types::{FiveTuple, Proto};

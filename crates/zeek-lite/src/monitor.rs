@@ -10,7 +10,7 @@ use netpkt::{Packet, PktError, Transport};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::Ipv4Addr;
-use xkit::obs::{HistSpec, Metrics};
+use xkit::obs::{HistSpec, Histogram, Metric, Metrics};
 
 /// Field ↔ metric-name table for the monitor's summing counters
 /// (`peak_active_flows` is a max-merged gauge and is handled separately).
@@ -118,6 +118,44 @@ impl MonitorStats {
     }
 }
 
+/// The row keys of a snapshot, folded one row at a time so whole logs
+/// ([`Logs::metrics`]) and a stream's released rows render them alike.
+#[derive(Debug, Clone, Default)]
+pub struct RowTally {
+    conn_rows: u64,
+    dns_rows: u64,
+    app_conns: u64,
+    dns_rtt_ms: Option<Histogram>,
+}
+
+impl RowTally {
+    /// Count one connection row.
+    pub fn conn(&mut self, c: &ConnRecord) {
+        self.conn_rows += 1;
+        self.app_conns += u64::from(!c.is_dns());
+    }
+
+    /// Count one DNS row.
+    pub fn dns(&mut self, d: &DnsTransaction) {
+        self.dns_rows += 1;
+        if let Some(rtt) = d.rtt {
+            let h = self.dns_rtt_ms.get_or_insert_with(|| Histogram::new(HistSpec::time_ms()));
+            h.observe(rtt.as_millis_f64());
+        }
+    }
+
+    /// `zeek.conn_rows`, `zeek.dns_rows`, `zeek.app_conns`, and a
+    /// `zeek.dns_rtt_ms` histogram over answered lookups.
+    pub fn write(&self, m: &mut Metrics) {
+        m.add("zeek.conn_rows", self.conn_rows);
+        m.add("zeek.dns_rows", self.dns_rows);
+        m.add("zeek.app_conns", self.app_conns);
+        if let Some(h) = &self.dns_rtt_ms {
+            m.insert("zeek.dns_rtt_ms", Metric::Hist(h.clone()));
+        }
+    }
+}
+
 /// Everything a capture produced.
 #[derive(Debug, Clone, Default)]
 pub struct Logs {
@@ -150,22 +188,16 @@ impl Logs {
     }
 
     /// Everything these logs can report as one obs snapshot: the monitor
-    /// counters, the degradation buckets, row counts
-    /// (`zeek.conn_rows`/`zeek.dns_rows`/`zeek.app_conns`), and a
-    /// `zeek.dns_rtt_ms` histogram over answered lookups. Histograms are
-    /// multisets, so the snapshot is identical however the rows were
-    /// sharded or ordered.
+    /// counters, the degradation buckets, and the [`RowTally`] keys.
+    /// Histograms are multisets, so the snapshot is identical however the
+    /// rows were sharded or ordered.
     pub fn metrics(&self) -> Metrics {
         let mut m = self.stats.to_metrics();
         m.merge(&self.degradation.to_metrics());
-        m.add("zeek.conn_rows", self.conns.len() as u64);
-        m.add("zeek.dns_rows", self.dns.len() as u64);
-        m.add("zeek.app_conns", self.app_conns().count() as u64);
-        for d in &self.dns {
-            if let Some(rtt) = d.rtt {
-                m.observe_with("zeek.dns_rtt_ms", HistSpec::time_ms(), rtt.as_millis_f64());
-            }
-        }
+        let mut rows = RowTally::default();
+        self.conns.iter().for_each(|c| rows.conn(c));
+        self.dns.iter().for_each(|d| rows.dns(d));
+        rows.write(&mut m);
         m
     }
 

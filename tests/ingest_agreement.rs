@@ -143,8 +143,8 @@ fn stream_agrees_for_all_windows_and_threads() {
         for threads in [1usize, 8] {
             // File backend through the seam.
             let mut file_released = Logs::default();
-            let file_result = stream::process_pcap(
-                &bytes[..],
+            let file_result = stream::process_source(
+                &mut pcapio::source::file(&bytes[..]).expect("pcap header"),
                 window,
                 MonitorConfig::default(),
                 analysis_cfg(threads),

@@ -64,8 +64,8 @@ fn batch_oracle() -> Batch {
 /// releases *in release order* — no re-sort — into one `Logs`.
 fn streamed(batch: &Batch, window: Duration, threads: usize) -> (Logs, stream::StreamResult) {
     let mut out = Logs::default();
-    let result = stream::process_pcap(
-        &batch.pcap[..],
+    let result = stream::process_source(
+        &mut dnsctx::pcapio::source::file(&batch.pcap[..]).unwrap(),
         window,
         MonitorConfig::default(),
         analysis_cfg(threads),
