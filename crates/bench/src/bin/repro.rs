@@ -9,8 +9,8 @@
 //! ```
 //!
 //! Experiments: `table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7
-//! sec8 diurnal houses ablate-threshold ablate-pairing ablate-scr bench
-//! fuzz obs all`.
+//! sec8 diurnal houses ablate-threshold ablate-pairing ablate-scr fuzz
+//! obs all`.
 //!
 //! `obs` (also reachable as `--obs`) runs the instrumented packet
 //! pipeline end to end: every stage (capture, zeek, pairing, thresholds,
@@ -33,22 +33,13 @@
 //! `--threads N` (0 = one worker per core; output is bit-identical for
 //! every value), `--csv` (emit CDF point series for the figures).
 //!
-//! `bench` times the pipeline stages with `xkit::bench` and writes
-//! `BENCH_repro.json` to the current directory.
+//! Timing lives in `perfbench/` (see `BENCHMARK.json`), not here.
 
 use dnsctx::cache_sim;
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::report::{cdf_series, cdf_strip, count, f1, f2, Table};
 use dnsctx::dns_context::{Analysis, AnalysisConfig, ConnClass, Ecdf, PairingPolicy};
 use dnsctx::zeek_lite::{Duration, Logs};
-
-/// Every allocation in this binary goes through the counting shim, so
-/// `bench` can report per-stage allocation counts and peak live bytes
-/// (see the `*_allocs` / `*_alloc_bytes` / `*_peak_bytes` notes in
-/// `BENCH_repro.json`). The counters are relaxed atomics — overhead is
-/// a few nanoseconds per allocation event.
-#[global_allocator]
-static ALLOC: xkit::bench::alloc::CountingAlloc = xkit::bench::alloc::CountingAlloc;
 
 struct Opts {
     houses: usize,
@@ -115,7 +106,7 @@ fn parse_args() -> Opts {
             "--days" => opts.days = non_negative("--days", &grab("--days")),
             "--scale" => opts.scale = non_negative("--scale", &grab("--scale")),
             "--seed" => opts.seed = number("--seed", &grab("--seed")),
-            "--seeds" => opts.seeds = number("--seeds", &grab("--seeds")),
+            "--seeds" => opts.seeds = at_least_one("--seeds", &grab("--seeds")),
             "--threads" => opts.threads = number("--threads", &grab("--threads")),
             "--csv" => opts.csv = true,
             "--obs" => opts.obs = true,
@@ -125,7 +116,7 @@ fn parse_args() -> Opts {
             "--window-secs" => {
                 opts.window_secs = non_negative("--window-secs", &grab("--window-secs"))
             }
-            "--tenants" => opts.tenants = number("--tenants", &grab("--tenants")),
+            "--tenants" => opts.tenants = at_least_one("--tenants", &grab("--tenants")),
             "--source" => opts.source = grab("--source"),
             "--iface" => opts.iface = grab("--iface"),
             "--frames" => opts.frames = number("--frames", &grab("--frames")),
@@ -136,7 +127,7 @@ fn parse_args() -> Opts {
                 println!(
                     "usage: repro <experiment...> [--houses N] [--days D] [--scale A] [--seed S] [--seeds K] [--threads N] [--csv] [--obs] [--obs-out PATH] [--serve ADDR] [--serve-check] [--window-secs W] [--source file|ring|iface] [--iface NAME] [--frames N] [--tenants N]\n\
                      experiments: table1 table2 table3 fig1 fig2 fig3 sec51 sec52 sec7 sec8\n\
-                     \x20              diurnal houses ablate-threshold ablate-pairing ablate-scr bench fuzz obs stream ingest serve all\n\
+                     \x20              diurnal houses ablate-threshold ablate-pairing ablate-scr fuzz obs stream ingest serve all\n\
                      obs-check <snapshot.json>: validate a snapshot written by `repro obs`\n\
                      obs-check --url ADDR: validate the live endpoints of a running --serve instance\n\
                      stream: bounded-memory epoch pipeline (window set by --window-secs, 0 = unwindowed)\n\
@@ -186,7 +177,6 @@ const EXPERIMENTS: &[&str] = &[
     "ablate-threshold",
     "ablate-pairing",
     "ablate-scr",
-    "bench",
     "fuzz",
     "obs",
     "stream",
@@ -216,6 +206,16 @@ fn simulation(cfg: WorkloadConfig, seed: u64) -> Simulation {
 /// A flag's value parsed as a number, or a usage error.
 fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
     raw.parse().unwrap_or_else(|_| usage_error(&format!("{flag}: not a valid number: {raw:?}")))
+}
+
+/// A flag's value as a count of at least one, or a usage error: zero is
+/// refused, never raised to one.
+fn at_least_one(flag: &str, raw: &str) -> usize {
+    let v: usize = number(flag, raw);
+    if v == 0 {
+        usage_error(&format!("{flag}: must be at least 1, got {raw:?}"));
+    }
+    v
 }
 
 /// A flag's value as a finite, non-negative float, or a usage error:
@@ -279,9 +279,7 @@ fn main() {
         scale: ScaleKnobs { houses: opts.houses, days: opts.days, activity: opts.scale },
         ..WorkloadConfig::default()
     };
-    // `bench` needs the single-seed pipeline below (its sweep uses
-    // --seeds itself), so the sweep shortcut only applies without it.
-    if opts.seeds > 1 && !opts.experiments.iter().any(|e| e == "bench") {
+    if opts.seeds > 1 {
         multi_seed(&cfg, &opts);
         return;
     }
@@ -290,7 +288,7 @@ fn main() {
         opts.houses, opts.days, opts.scale, opts.seed
     );
     let t0 = xkit::obs::clock::now();
-    let out = simulation(cfg.clone(), opts.seed).with_threads(opts.threads).run();
+    let out = simulation(cfg, opts.seed).with_threads(opts.threads).run();
     eprintln!(
         "# {} connections, {} DNS transactions in {:.1}s; running analysis ...",
         count(out.logs.conns.len()),
@@ -347,11 +345,6 @@ fn main() {
     }
     if want("ablate-scr") {
         ablate_scr(&out.logs);
-    }
-    // Not part of `all`: timings are inherently run-to-run noisy, and
-    // `all`'s stdout must stay byte-identical across thread counts.
-    if opts.experiments.iter().any(|e| e == "bench") {
-        bench(&cfg, &opts, &out.logs, &analysis);
     }
 }
 
@@ -1373,7 +1366,7 @@ fn serve_daemon(opts: &Opts) {
     // scales by tenant count, not per-tenant size.
     let houses = opts.houses.min(12);
     let days = opts.days.min(0.25);
-    let tenants = opts.tenants.max(1);
+    let tenants = opts.tenants;
     let addr = if opts.serve.is_empty() { "127.0.0.1:0" } else { &opts.serve };
     eprintln!(
         "# serve: {tenants} tenants ({houses} houses x {days} days at activity {}, base seed {}, threads {}, window {}s)",
@@ -1732,125 +1725,4 @@ fn multi_seed(cfg: &WorkloadConfig, opts: &Opts) {
     t.row(&mean_row);
     t.row(&spread_row);
     println!("{}", t.render());
-}
-
-/// `bench` experiment: time the pipeline stages (simulate, pair,
-/// classify, perf) with `xkit::bench`, measure the seed sweep
-/// sequential vs parallel, and write `BENCH_repro.json` to the current
-/// directory as a baseline for future runs.
-fn bench(cfg: &WorkloadConfig, opts: &Opts, logs: &Logs, analysis: &Analysis<'_>) {
-    use dnsctx::dns_context::classify::classify_parallel;
-    use dnsctx::dns_context::{AnalysisScratch, Pairing, PairingScratch};
-    use xkit::bench::alloc;
-
-    eprintln!("# bench: timing pipeline stages ...");
-    let mut h = xkit::bench::Harness::coarse("repro");
-    h.samples = 3;
-    let acfg = opts.analysis_cfg();
-
-    // One instrumented run per stage first: allocation events, bytes
-    // requested, and peak live bytes, reported as notes next to the
-    // timings. The timed samples below then run uninstrumented closures
-    // of the same shape.
-    let mut stage_allocs: Vec<(&str, alloc::StageAllocs)> = Vec::new();
-
-    let (_, a) = alloc::measure(|| {
-        simulation(cfg.clone(), opts.seed).with_threads(opts.threads).run().logs.conns.len()
-    });
-    stage_allocs.push(("simulate", a));
-    h.bench("simulate", || {
-        simulation(cfg.clone(), opts.seed).with_threads(opts.threads).run().logs.conns.len()
-    });
-
-    // Steady-state pairing: the arena scratch is built once and reused,
-    // as the analysis facade and the sweep workers do.
-    let mut pair_scratch = PairingScratch::default();
-    let (_, a) = alloc::measure(|| {
-        Pairing::build_with(&mut pair_scratch, &logs.conns, &logs.dns, acfg.policy).pairs.len()
-    });
-    stage_allocs.push(("pair", a));
-    h.bench("pair", || {
-        Pairing::build_with(&mut pair_scratch, &logs.conns, &logs.dns, acfg.policy).pairs.len()
-    });
-
-    let floor = Duration::from_secs_f64(acfg.threshold_rule.floor_ms / 1e3);
-    let dns_cols = analysis.dns_columns();
-    let (_, a) = alloc::measure(|| {
-        classify_parallel(
-            opts.threads,
-            dns_cols,
-            &analysis.pairing,
-            acfg.block_threshold,
-            &analysis.thresholds,
-            floor,
-        )
-        .len()
-    });
-    stage_allocs.push(("classify", a));
-    h.bench("classify", || {
-        classify_parallel(
-            opts.threads,
-            dns_cols,
-            &analysis.pairing,
-            acfg.block_threshold,
-            &analysis.thresholds,
-            floor,
-        )
-        .len()
-    });
-
-    let (_, a) = alloc::measure(|| analysis.perf().blocked.len());
-    stage_allocs.push(("perf", a));
-    h.bench("perf", || analysis.perf().blocked.len());
-
-    // Seed-sweep scaling: the identical K-seed sweep on one worker vs
-    // the requested thread count. The headline statistics must agree
-    // exactly — the sweep is deterministic per seed. Each worker gets
-    // one analysis scratch, built once and reused across its seeds.
-    let sweep_seeds: Vec<u64> = (0..opts.seeds.max(2) as u64).map(|k| opts.seed + k).collect();
-    eprintln!(
-        "# bench: {}-seed sweep, sequential vs parallel ...",
-        sweep_seeds.len()
-    );
-    let t = xkit::obs::clock::now();
-    let seq = xkit::par::par_map_with(
-        1,
-        sweep_seeds.clone(),
-        AnalysisScratch::default,
-        |scratch, _, seed| headline_for_seed(cfg, scratch, seed),
-    );
-    let seq_s = t.elapsed_secs();
-    let t = xkit::obs::clock::now();
-    let par = xkit::par::par_map_with(
-        opts.threads,
-        sweep_seeds.clone(),
-        AnalysisScratch::default,
-        |scratch, _, seed| headline_for_seed(cfg, scratch, seed),
-    );
-    let par_s = t.elapsed_secs();
-    assert_eq!(seq.len(), par.len());
-    assert!(
-        seq.iter().zip(&par).all(|(a, b)| a.shares == b.shares),
-        "parallel sweep diverged from sequential"
-    );
-
-    h.note("cores", xkit::par::available_threads() as f64);
-    h.note("threads", xkit::par::resolve_threads(opts.threads) as f64);
-    h.note("houses", opts.houses as f64);
-    h.note("days", opts.days);
-    h.note("activity", opts.scale);
-    h.note("sweep_seeds", sweep_seeds.len() as f64);
-    h.note("sweep_seq_s", seq_s);
-    h.note("sweep_par_s", par_s);
-    h.note("sweep_speedup_x", seq_s / par_s.max(1e-9));
-    for (stage, a) in &stage_allocs {
-        h.note(&format!("{stage}_allocs"), a.allocs as f64);
-        h.note(&format!("{stage}_alloc_bytes"), a.bytes as f64);
-        h.note(&format!("{stage}_peak_bytes"), a.peak_live as f64);
-    }
-    // Timing tables are diagnostics: stderr, never stdout.
-    eprint!("{}", h.render_table());
-    let path = std::path::Path::new("BENCH_repro.json");
-    h.write_json(path).expect("write BENCH_repro.json");
-    eprintln!("# bench: wrote {}", path.display());
 }

@@ -1,9 +1,9 @@
-//! Shared fixtures for the `xkit::bench` benches and the `repro`
-//! harness, plus the [`serve`] daemon behind `repro serve`.
+//! Shared fixtures for the `repro` harness and the tests, plus the
+//! [`serve`] daemon behind `repro serve`.
 
 pub mod serve;
 
-use dnsctx::ccz_sim::{ScaleKnobs, SimOutput, Simulation, WorkloadConfig};
+use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 
 /// Build a simulation at the given size (houses, days, activity).
 pub fn sim(houses: usize, days: f64, activity: f64, seed: u64) -> Simulation {
@@ -14,16 +14,11 @@ pub fn sim(houses: usize, days: f64, activity: f64, seed: u64) -> Simulation {
     Simulation::new(cfg, seed).expect("valid config")
 }
 
-/// Run a small fixed workload once (bench fixtures reuse the output).
-pub fn small_output(seed: u64) -> SimOutput {
-    sim(6, 0.1, 1.0, seed).run()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn fixtures_build() {
-        let out = super::small_output(3);
+        let out = super::sim(6, 0.1, 1.0, 3).run();
         assert!(!out.logs.conns.is_empty());
     }
 }

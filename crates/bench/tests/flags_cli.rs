@@ -71,10 +71,15 @@ fn zero_valued_workload_flags_are_usage_errors() {
         }
     }
     assert_usage_error(&["table2", "--seeds", "2", "--houses", "0"], "--houses");
+    // Counts are refused at zero, never raised to one.
+    assert_usage_error(&["serve", "--tenants", "0"], "--tenants");
+    assert_usage_error(&["table2", "--seeds", "0"], "--seeds");
 }
 
 #[test]
 fn unknown_experiments_are_usage_errors() {
     assert_usage_error(&["tabel2", "--houses", "2", "--days", "0.01"], "tabel2");
     assert_usage_error(&["table2", "fig9", "--houses", "2", "--days", "0.01"], "fig9");
+    // `bench` is not an experiment: timing lives in perfbench.
+    assert_usage_error(&["bench", "--houses", "2", "--days", "0.01"], "bench");
 }

@@ -27,40 +27,12 @@ pub use pcapio;
 pub use xkit;
 pub use zeek_lite;
 
-pub mod obskit {
-    //! Thin facade over [`xkit::obs`]: the metrics/tracing vocabulary the
-    //! pipeline crates share, plus helpers that assemble whole-pipeline
-    //! snapshots. Naming conventions: `capture.*` (pcap I/O), `zeek.*`
-    //! (monitor + degradation), `sim.*`/`resolver.*` (workload),
-    //! `pair.*`/`class.*`/`threshold.*`/`perf.*`/`cover.*` (analysis),
-    //! `fault.*` (injected damage), `stage.*` (span timers).
-
-    pub use xkit::obs::clock;
-    pub use xkit::obs::http;
-    pub use xkit::obs::json;
-    pub use xkit::obs::{
-        Counter, FlightEvent, FlightRecorder, Gauge, HistSpec, Histogram, HistogramHandle,
-        Metric, Metrics, ObsHub, Registry, SpanId, SpanLog, SpanRecord,
-    };
-
-    /// One snapshot for a whole [`Study`](crate::pipeline::Study): the
-    /// workload-side `sim.*`/`resolver.*` counters, the monitor's
-    /// `zeek.*` counters, and the analysis' `pair.*`/`class.*`/
-    /// `threshold.*`/`perf.*`/`cover.*` families, merged through the one
-    /// deterministic merge path.
-    pub fn study_metrics(study: &crate::pipeline::Study) -> Metrics {
-        let mut m = study.sim.metrics.clone();
-        m.merge(&study.sim.logs.metrics());
-        m.merge(&study.analysis().metrics());
-        m
-    }
-}
-
 pub mod pipeline {
     //! Prebuilt end-to-end pipelines.
 
     use ccz_sim::{ScaleKnobs, SimOutput, Simulation, WorkloadConfig};
     use dns_context::{Analysis, AnalysisConfig};
+    use xkit::obs::Metrics;
     use zeek_lite::Logs;
 
     /// A simulation output bundled with the analysis configuration, ready
@@ -83,6 +55,19 @@ pub mod pipeline {
         /// The observable logs.
         pub fn logs(&self) -> &Logs {
             &self.sim.logs
+        }
+
+        /// One metrics snapshot for the whole study, merged through the
+        /// one deterministic merge path. Key families: `sim.*` and
+        /// `resolver.*` (workload), `zeek.*` (monitor and degradation),
+        /// and `pair.*`, `class.*`, `threshold.*`, `perf.*`, `cover.*`
+        /// (analysis). The packet path adds `capture.*` (pcap I/O),
+        /// injected damage `fault.*`, and span timers `stage.*`.
+        pub fn metrics(&self) -> Metrics {
+            let mut m = self.sim.metrics.clone();
+            m.merge(&self.sim.logs.metrics());
+            m.merge(&self.analysis().metrics());
+            m
         }
     }
 

@@ -1,6 +1,6 @@
 //! Zero-dependency runtime kit for the DNS-in-context workspace.
 //!
-//! Three small subsystems replace every external crate the workspace used
+//! Two small subsystems replace every external crate the workspace used
 //! to pull from the registry:
 //!
 //! * [`rng`] — a seeded SplitMix64/Xoshiro256++ PRNG with the
@@ -10,17 +10,16 @@
 //!   stay bit-reproducible at a fixed seed.
 //! * [`par`] — scoped worker-pool helpers over `std::thread::scope` and
 //!   `std::sync::Mutex`, replacing `crossbeam` + `parking_lot`.
-//! * [`bench`] — a lightweight Criterion replacement (warmup, sampled
-//!   iterations, median/p95, JSON baseline emit) so the bench targets run
-//!   offline.
 //!
 //! On top of those, [`fault`] provides a seeded deterministic fault
 //! injector (drop/truncate/bit-flip/duplicate/reorder) used to prove the
 //! capture pipeline degrades gracefully under hostile input, [`obs`]
 //! provides the observability substrate — deterministic-merge metrics,
-//! stage spans, and the workspace's single monotonic-clock seam — and
+//! stage spans, and the workspace's single monotonic-clock seam —
 //! [`collections`] provides an FxHash-backed [`collections::FastMap`]
-//! for hot, never-iterated key-addressed maps.
+//! for hot, never-iterated key-addressed maps, and [`bench`] holds the
+//! counting allocator and JSON string escaping the repo benchmark
+//! (`perfbench/`) measures with.
 
 // `deny` rather than `forbid`: the one sanctioned exception is
 // `bench::alloc`, whose `GlobalAlloc` impl is unsafe by definition of the

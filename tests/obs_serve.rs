@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 
 use dnsctx::ccz_sim::{ScaleKnobs, Simulation, WorkloadConfig};
 use dnsctx::dns_context::{stream, AnalysisConfig};
-use dnsctx::obskit::{http, json, Metrics, ObsHub};
 use dnsctx::pcapio;
+use dnsctx::xkit::obs::{http, json, Metrics, ObsHub};
 use dnsctx::zeek_lite::{Duration, MonitorConfig};
 
 fn small_cfg() -> WorkloadConfig {
